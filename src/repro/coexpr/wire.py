@@ -69,6 +69,11 @@ WIRE_SPAWN = "spawn"
 WIRE_CALL = "call"
 #: ``(WIRE_CREDIT, n | None)`` — grant the sender *n* more items (None =
 #: unlimited; the flow-control half of a bounded channel over a socket).
+#: The client grants its window up front, then grants delivered items
+#: back once half the window has drained.  The one kind that also travels
+#: server -> client: a server whose ``max_credit`` quota clamps the
+#: initial grant answers ``(WIRE_CREDIT, quota)`` once, before any data,
+#: and the client shrinks its window to the quota.
 WIRE_CREDIT = "credit"
 #: ``(WIRE_CANCEL,)`` — the consumer abandoned the stream; stop producing.
 WIRE_CANCEL = "cancel"

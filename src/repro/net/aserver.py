@@ -31,6 +31,15 @@ The cooperative caveat of :mod:`repro.coexpr.aio` applies: one
 *between* results.  Streams of many small results interleave fairly
 (the sender yields per item); a single multi-second activation would
 stall every session — host such bodies on the threaded server.
+
+**Known limitation: slow body unpickling.**  A ``spawn`` body is
+unpickled inline on the loop.  A body whose unpickling is slow (a cold
+server importing a module) blocks every session for that long, and its
+own client hears no ``WIRE_BEAT`` meanwhile: past the client's
+heartbeat timeout the session is declared lost.  The threaded server
+starts its beater before unpickling and has neither problem.  Moving
+the unpickle off the loop would cost a thread hop per session, so this
+substrate keeps it inline.
 """
 
 from __future__ import annotations
@@ -222,7 +231,10 @@ class _AsyncSession:
     def grant(self, amount: int | None) -> None:
         """Apply one ``WIRE_CREDIT`` envelope — identical quota/greedy
         semantics to the threaded server's
-        :meth:`~repro.net.server.Session.grant`."""
+        :meth:`~repro.net.server.Session.grant`: the client's batched
+        half-window grants accumulate up to ``max_credit``, and the
+        reader announces the quota back before applying an initial
+        grant it clamps."""
         quota = self.server.max_credit
         if amount is None:
             if quota is None:
@@ -491,7 +503,15 @@ class _AsyncSession:
             stall_deadline = None
             kind = envelope[0]
             if kind == WIRE_CREDIT:
-                self.grant(envelope[1] if len(envelope) > 1 else None)
+                amount = envelope[1] if len(envelope) > 1 else None
+                quota = self.server._quota_announcement(amount)
+                if quota is not None:
+                    try:
+                        await self._send((WIRE_CREDIT, quota))
+                    except (OSError, EOFError, ConnectionError):
+                        self.kill()
+                        break
+                self.grant(amount)
             elif kind == WIRE_DEADLINE:
                 # Budget, never a timestamp: re-anchor against our own
                 # monotonic clock (see repro.coexpr.deadline).

@@ -16,7 +16,9 @@ threads:
   cancellation — and doubles as the *beater*: its receive timeout is
   the heartbeat interval, so exactly when the connection has been idle
   that long it sends a ``WIRE_BEAT`` (and flushes any batch older than
-  the session's linger bound).
+  the session's linger bound).  The sender starts it as soon as the
+  request header is parsed, *before* unpickling a spawn body: a cold
+  server importing modules while it unpickles still beats.
 
 Stream termination follows the channel contract end to end: data
 slices in production order, a crash flushed *after* the data produced
@@ -212,9 +214,14 @@ class Session:
     def grant(self, amount: int | None) -> None:
         """Apply one ``WIRE_CREDIT`` envelope (None = unlimited).
 
-        A server ``max_credit`` quota caps outstanding credit here, at
+        The client grants its window up front, then grants delivered
+        items back in batches once half the window has drained.  A
+        server ``max_credit`` quota caps outstanding credit here, at
         the grant path — the one place every credit enters.  Bounded
-        grants accumulate only up to the quota.  An *unlimited* grant
+        grants accumulate only up to the quota; an initial grant the
+        quota clamps is first answered with the quota itself
+        (:meth:`GeneratorServer._quota_announcement`), so the client's
+        half-window threshold shrinks to fit.  An *unlimited* grant
         (the client's channel is unbounded, so it will never send
         another credit envelope) becomes quota-sized **greedy** credit
         instead: :meth:`_flush` self-replenishes it, so the stream
@@ -318,15 +325,22 @@ class Session:
                 self._run_control(envelope)
                 return
             try:
-                coexpr = self._build_body(envelope)
+                kind, request = self._parse_request(envelope)
+            except Exception as error:  # noqa: BLE001 - reported to the client
+                self._send_failure(error)
+                return
+            # Beat before building the body: unpickling a spawn body may
+            # import modules for longer than the client's watchdog waits.
+            self.reader_handle = self.server.scheduler.submit(
+                self._run_reader, name=f"{self.name}-reader"
+            )
+            try:
+                coexpr = self._build_body(kind, request)
             except Exception as error:  # noqa: BLE001 - reported to the client
                 self._send_failure(error)
                 return
             self.coexpr = coexpr
             self.server._note_session(self)
-            self.reader_handle = self.server.scheduler.submit(
-                self._run_reader, name=f"{self.name}-reader"
-            )
             self._stream(coexpr)
         finally:
             self._finish()
@@ -384,7 +398,9 @@ class Session:
         except (OSError, EOFError, FrameError):
             pass  # peer gone: the control session just ends
 
-    def _build_body(self, first: tuple) -> CoExpression:
+    def _parse_request(self, first: tuple) -> tuple[str, dict]:
+        """Validate the request envelope and apply its header (batch,
+        linger, heartbeat interval); the body is built separately."""
         kind, *payload = first
         if kind not in (WIRE_SPAWN, WIRE_CALL) or not payload:
             raise PipeError(f"expected a spawn/call request, got {kind!r}")
@@ -400,12 +416,15 @@ class Session:
         interval = request.get("heartbeat_interval")
         if interval:
             self.heartbeat_interval = float(interval)
+        if kind == WIRE_SPAWN and not self.server.allow_spawn:
+            raise PipeError(
+                f"server {self.server.name!r} does not accept spawn "
+                "requests (allow_spawn=False); use a registered factory"
+            )
+        return kind, request
+
+    def _build_body(self, kind: str, request: dict) -> CoExpression:
         if kind == WIRE_SPAWN:
-            if not self.server.allow_spawn:
-                raise PipeError(
-                    f"server {self.server.name!r} does not accept spawn "
-                    "requests (allow_spawn=False); use a registered factory"
-                )
             factory, env = pickle.loads(request["body"])
             return CoExpression(factory, lambda: env, name=self.request_name)
         factory = self.server._factory(request["name"])
@@ -539,7 +558,15 @@ class Session:
             stall_deadline = None
             kind = envelope[0]
             if kind == WIRE_CREDIT:
-                self.grant(envelope[1] if len(envelope) > 1 else None)
+                amount = envelope[1] if len(envelope) > 1 else None
+                quota = self.server._quota_announcement(amount)
+                if quota is not None:
+                    try:
+                        self.framer.send((WIRE_CREDIT, quota))
+                    except (OSError, EOFError):
+                        self.kill()
+                        break
+                self.grant(amount)
             elif kind == WIRE_DEADLINE:
                 # Budget, never a timestamp: re-anchor against our own
                 # monotonic clock (see repro.coexpr.deadline).
@@ -620,8 +647,10 @@ class GeneratorServer:
     never silently queued, so the client fails fast (and its circuit
     breaker learns the server is saturated) instead of hanging.
     ``max_credit`` caps each session's outstanding flow-control credit
-    and ``max_batch`` caps its coalescing slice, so one greedy client
-    cannot make the server buffer unboundedly on its behalf.
+    (a client whose initial grant exceeds it is told the quota once, so
+    its batched replenishment never waits on credit the server will not
+    use) and ``max_batch`` caps its coalescing slice, so one greedy
+    client cannot make the server buffer unboundedly on its behalf.
     ``stall_intervals`` tunes how many silent heartbeat intervals a
     mid-frame client gets before its session is killed (the hostile/
     wedged-client bound).
@@ -695,6 +724,22 @@ class GeneratorServer:
         self._started = False
         self._served = 0
         self._shed_count = 0
+
+    def _quota_announcement(self, amount: Any) -> int | None:
+        """The quota to send back before applying credit grant *amount*,
+        or None.
+
+        A bounded grant larger than ``max_credit`` is answered with one
+        ``(WIRE_CREDIT, max_credit)`` frame ahead of any data, and the
+        client shrinks its window to match: otherwise it would wait for
+        half a window to drain while the server stops at the quota.
+        Only a client's initial grant can be that large — the delivered
+        items a conforming client grants back never exceed the quota.
+        """
+        quota = self.max_credit
+        if quota is not None and amount is not None and amount > quota:
+            return quota
+        return None
 
     # -- registry --------------------------------------------------------------
 
