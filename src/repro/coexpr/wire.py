@@ -170,6 +170,8 @@ def decode_error(payload: dict) -> BaseException:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct(">I")
+#: Bytes in a frame's length prefix.
+HEADER_SIZE = _HEADER.size
 
 #: Refuse frames beyond this size — a corrupted length prefix must not
 #: make the reader try to allocate gigabytes.
@@ -186,8 +188,7 @@ class _RestrictedUnpickler(pickle.Unpickler):
     Primitive values (numbers, strings, bytes, bools, None) and
     containers of them decode without ``find_class``; anything that
     needs a class or function — the code-execution surface of pickle —
-    raises, which :meth:`SocketFramer.recv` turns into a
-    :class:`FrameError`.
+    raises, which :func:`decode_frame` turns into a :class:`FrameError`.
     """
 
     def find_class(self, module: str, name: str) -> Any:
@@ -197,8 +198,38 @@ class _RestrictedUnpickler(pickle.Unpickler):
         )
 
 
-def _restricted_loads(frame: bytes) -> Any:
-    return _RestrictedUnpickler(io.BytesIO(frame)).load()
+def encode_frame(envelope: tuple) -> bytes:
+    """One envelope as a length-prefixed pickle frame."""
+    payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(payload)) + payload
+
+
+def frame_length(header: bytes) -> int:
+    """The payload size a :data:`HEADER_SIZE`-byte frame header
+    announces; :class:`FrameError` past :data:`MAX_FRAME`."""
+    (need,) = _HEADER.unpack(header)
+    if need > MAX_FRAME:
+        raise FrameError(f"oversized frame ({need} bytes)")
+    return need
+
+
+def decode_frame(frame: bytes, trusted: bool) -> tuple:
+    """The envelope in one frame payload.
+
+    ``trusted=False`` decodes through the restricted unpickler (see the
+    trust model above).  An undecodable payload, or one that is not a
+    non-empty tuple, raises :class:`FrameError`.
+    """
+    try:
+        if trusted:
+            envelope = pickle.loads(frame)
+        else:
+            envelope = _RestrictedUnpickler(io.BytesIO(frame)).load()
+    except Exception as error:  # noqa: BLE001 - corrupt frame
+        raise FrameError(f"undecodable frame: {error!r}") from error
+    if not isinstance(envelope, tuple) or not envelope:
+        raise FrameError(f"malformed envelope: {envelope!r}")
+    return envelope
 
 
 class SocketFramer:
@@ -228,9 +259,9 @@ class SocketFramer:
 
     def send(self, envelope: tuple) -> None:
         """Frame and ship one envelope (blocking, thread-safe)."""
-        payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        frame = encode_frame(envelope)
         with self._send_lock:
-            self.sock.sendall(_HEADER.pack(len(payload)) + payload)
+            self.sock.sendall(frame)
 
     def buffered(self) -> bool:
         """True when a complete frame is already in the receive buffer.
@@ -243,10 +274,10 @@ class SocketFramer:
         """
         if self._need is not None:
             return len(self._buf) >= self._need
-        if len(self._buf) < _HEADER.size:
+        if len(self._buf) < HEADER_SIZE:
             return False
-        (need,) = _HEADER.unpack(self._buf[: _HEADER.size])
-        return len(self._buf) - _HEADER.size >= need
+        (need,) = _HEADER.unpack(self._buf[:HEADER_SIZE])
+        return len(self._buf) - HEADER_SIZE >= need
 
     def partial(self) -> bool:
         """True when a frame has started arriving but is incomplete.
@@ -262,24 +293,15 @@ class SocketFramer:
 
     def _extract(self) -> tuple | None:
         """Pop one complete envelope out of the buffer (None = partial)."""
-        if self._need is None and len(self._buf) >= _HEADER.size:
-            (self._need,) = _HEADER.unpack(self._buf[: _HEADER.size])
-            del self._buf[: _HEADER.size]
-            if self._need > MAX_FRAME:
-                raise FrameError(f"oversized frame ({self._need} bytes)")
+        if self._need is None and len(self._buf) >= HEADER_SIZE:
+            self._need = frame_length(self._buf[:HEADER_SIZE])
+            del self._buf[:HEADER_SIZE]
         if self._need is None or len(self._buf) < self._need:
             return None
         frame = bytes(self._buf[: self._need])
         del self._buf[: self._need]
         self._need = None
-        loads = pickle.loads if self.trusted else _restricted_loads
-        try:
-            envelope = loads(frame)
-        except Exception as error:  # noqa: BLE001 - corrupt frame
-            raise FrameError(f"undecodable frame: {error!r}") from error
-        if not isinstance(envelope, tuple) or not envelope:
-            raise FrameError(f"malformed envelope: {envelope!r}")
-        return envelope
+        return decode_frame(frame, self.trusted)
 
     def _pull(self) -> None:
         """One ``recv`` call into the buffer; EOF raised as usual."""

@@ -23,7 +23,9 @@ The **event-loop server** (:mod:`repro.net.aserver`) is the same wire
 contract on a different substrate: :class:`AsyncGeneratorServer`
 multiplexes every session as a coroutine pair on one loop thread, so
 thousands of concurrent streams cost memory instead of OS threads —
-and nothing client-side can tell which server answered.
+and nothing client-side can tell which server answered.  Both servers
+drive one sans-IO session core (:mod:`repro.net.session`), so the
+protocol rules exist once and only the I/O differs.
 
 A dead connection surfaces as
 :class:`~repro.errors.PipeConnectionLost`, which supervision treats as

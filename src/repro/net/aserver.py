@@ -2,13 +2,14 @@
 
 A :class:`~repro.net.server.GeneratorServer` session costs two OS
 threads (sender + reader), so one threaded server tops out at a few
-hundred concurrent streams.  :class:`AsyncGeneratorServer` speaks the
-*identical* wire protocol — the framing, credit flow control, deadline
-rule, ``WIRE_BUSY`` shedding, and ``WIRE_PING``/``WIRE_PEERS`` control
-channel of :mod:`repro.coexpr.wire` — but multiplexes every session as
-a pair of coroutines on one event loop: a session costs two *tasks*
-instead of two threads, so concurrency scales with memory, not with OS
-thread limits.
+hundred concurrent streams.  :class:`AsyncGeneratorServer` drives the
+same sans-IO :class:`~repro.net.session.SessionCore` — the request
+header, credit flow control, deadline rule, stall bound and
+``WIRE_PING``/``WIRE_PEERS`` control replies — and speaks the same
+framing and ``WIRE_BUSY`` shedding of :mod:`repro.coexpr.wire`, but
+multiplexes every session as a pair of coroutines on one event loop: a
+session costs two *tasks* instead of two threads, so concurrency scales
+with memory, not with OS thread limits.
 
 Interoperability is the point: the sync
 :class:`~repro.net.client.RemotePipe` client (and ``backend="remote"``
@@ -45,56 +46,48 @@ substrate keeps it inline.
 from __future__ import annotations
 
 import asyncio
-import pickle
 import threading
 import time
 from typing import Any
 
 from ..coexpr.coexpression import CoExpression
-from ..coexpr.deadline import Deadline
 from ..coexpr.wire import (
-    MAX_FRAME,
+    HEADER_SIZE,
     WIRE_BEAT,
     WIRE_BUSY,
-    WIRE_CALL,
-    WIRE_CANCEL,
     WIRE_CLOSE,
-    WIRE_CREDIT,
     WIRE_DATA,
-    WIRE_DEADLINE,
     WIRE_ERROR,
-    WIRE_PEERS,
-    WIRE_PING,
-    WIRE_PONG,
-    WIRE_SPAWN,
     FrameError,
-    _HEADER,
-    _restricted_loads,
+    decode_frame,
     encode_error,
+    encode_frame,
+    frame_length,
 )
-from ..errors import PipeDeadlineExceeded, PipeError
-from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
+from ..monitor.events import EventKind
 from ..runtime.failure import FAIL
-from .server import (
-    _CREDIT_SLICE,
-    _REQUEST_TIMEOUT,
-    _SHED_LINGER,
-    GeneratorServer,
-)
+from .server import _CREDIT_SLICE, _SHED_LINGER, GeneratorServer
+from .session import CONTROL_KINDS, REQUEST_TIMEOUT, SessionCore
 
 #: How long the loop thread's graceful drain waits for sessions to
 #: flush + close before cancelling their tasks outright.
 _DRAIN_TIMEOUT = 5.0
 
 
-class _AsyncSession:
-    """One client connection: a body and its sender/reader coroutines.
+def _peername(writer: asyncio.StreamWriter) -> Any:
+    try:
+        return writer.get_extra_info("peername")
+    except Exception:  # noqa: BLE001 - transport already gone
+        return None
 
-    The coroutine twin of :class:`~repro.net.server.Session`: same
-    request handling, same credit/greedy-quota semantics, same deadline
-    re-anchoring, same data-before-error-before-close termination, same
-    lingering half-close drain — with asyncio primitives standing in
-    for threads, conditions, and select.
+
+class _AsyncSession:
+    """One client connection: a :class:`~repro.net.session.SessionCore`
+    driven by a sender coroutine and a reader coroutine.
+
+    asyncio primitives stand in for the threaded session's threads,
+    condition and select; the termination order (data, then the error,
+    then close) and the lingering half-close drain are the same.
     """
 
     __slots__ = (
@@ -103,20 +96,12 @@ class _AsyncSession:
         "writer",
         "peer",
         "name",
-        "request_name",
-        "batch",
-        "max_linger",
-        "heartbeat_interval",
+        "core",
         "coexpr",
         "task",
         "reader_task",
         "_wlock",
-        "_credit",
-        "_greedy",
         "_credit_wakeup",
-        "_deadline",
-        "_buffer",
-        "_buf_oldest",
         "_need",
         "_killed",
         "_cancelled",
@@ -133,34 +118,17 @@ class _AsyncSession:
         self.server = server
         self.reader = reader
         self.writer = writer
-        try:
-            self.peer = writer.get_extra_info("peername")
-        except Exception:  # noqa: BLE001 - transport already gone
-            self.peer = None
+        self.peer = _peername(writer)
         self.name = f"aio-session-{id(self):x}"
-        self.request_name = ""
-        self.batch = 1
-        self.max_linger: float | None = None
-        self.heartbeat_interval = server.heartbeat_interval
+        self.core = SessionCore(server)
         self.coexpr: CoExpression | None = None
         self.task: asyncio.Task | None = None
         self.reader_task: asyncio.Task | None = None
-        #: Serializes frame sends AND the pop-slice/send pair: two
-        #: flushers (sender, reader's linger tick) must never interleave
-        #: slices out of production order, and asyncio's drain() allows
-        #: only one waiter.
+        #: Serializes frame writes: asyncio's drain() allows only one
+        #: waiter.  Waiters queue in FIFO order, so slices popped in
+        #: production order also reach the socket in that order.
         self._wlock = asyncio.Lock()
-        #: Items the client has granted (None = unlimited); starts at
-        #: zero — nothing is sent before the first grant.
-        self._credit: int | None = 0
-        #: True once a quota clamped an unlimited grant (the sender then
-        #: self-replenishes in quota-sized slices).
-        self._greedy = False
         self._credit_wakeup = asyncio.Event()
-        #: Budget from a ``WIRE_DEADLINE`` envelope, re-anchored here.
-        self._deadline: Deadline | None = None
-        self._buffer: list = []
-        self._buf_oldest = 0.0
         #: Bytes still owed on a half-received frame (resumable receive
         #: state, so a heartbeat timeout never desynchronizes the
         #: stream; also the reader's mid-frame stall signal).
@@ -178,26 +146,15 @@ class _AsyncSession:
         ``readexactly`` leaves its buffer intact when cancelled mid-wait
         — so a receive timeout never loses stream position."""
         if self._need is None:
-            header = await self.reader.readexactly(_HEADER.size)
-            (need,) = _HEADER.unpack(header)
-            if need > MAX_FRAME:
-                raise FrameError(f"oversized frame ({need} bytes)")
-            self._need = need
+            self._need = frame_length(await self.reader.readexactly(HEADER_SIZE))
         frame = await self.reader.readexactly(self._need)
         self._need = None
-        loads = pickle.loads if self.server.allow_spawn else _restricted_loads
-        try:
-            envelope = loads(frame)
-        except Exception as error:  # noqa: BLE001 - corrupt frame
-            raise FrameError(f"undecodable frame: {error!r}") from error
-        if not isinstance(envelope, tuple) or not envelope:
-            raise FrameError(f"malformed envelope: {envelope!r}")
-        return envelope
+        return decode_frame(frame, self.server.allow_spawn)
 
     async def _send(self, envelope: tuple) -> None:
-        payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        frame = encode_frame(envelope)
         async with self._wlock:
-            self.writer.write(_HEADER.pack(len(payload)) + payload)
+            self.writer.write(frame)
             await self.writer.drain()
 
     # -- worker/session protocol -----------------------------------------------
@@ -226,66 +183,23 @@ class _AsyncSession:
     def _stopping(self) -> bool:
         return self._killed or self._cancelled
 
-    # -- credit ----------------------------------------------------------------
-
-    def grant(self, amount: int | None) -> None:
-        """Apply one ``WIRE_CREDIT`` envelope — identical quota/greedy
-        semantics to the threaded server's
-        :meth:`~repro.net.server.Session.grant`: the client's batched
-        half-window grants accumulate up to ``max_credit``, and the
-        reader announces the quota back before applying an initial
-        grant it clamps."""
-        quota = self.server.max_credit
-        if amount is None:
-            if quota is None:
-                self._credit = None
-            else:
-                self._greedy = True
-                self._credit = quota
-        elif self._credit is not None:
-            self._credit += amount
-            if quota is not None and self._credit > quota:
-                self._credit = quota
-        self._credit_wakeup.set()
-
     # -- sender ----------------------------------------------------------------
 
     async def _flush(self, block: bool) -> None:
         """Send buffered items as credit allows (``block=True`` parks on
         credit until the buffer drains; ``block=False`` is the reader's
-        linger tick).  The pop/send pair runs under ``_wlock``, so the
-        two flushers can never reorder slices."""
-        while True:
-            async with self._wlock:
-                if not self._buffer or self._killed:
-                    return
-                credit = self._credit
-                if credit != 0:
-                    take = (
-                        len(self._buffer)
-                        if credit is None
-                        else min(credit, len(self._buffer))
-                    )
-                    slice_, self._buffer = (
-                        self._buffer[:take],
-                        self._buffer[take:],
-                    )
-                    if credit is not None:
-                        self._credit = credit - take
-                    payload = pickle.dumps(
-                        (WIRE_DATA, slice_), protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    self.writer.write(_HEADER.pack(len(payload)) + payload)
-                    await self.writer.drain()
-                    continue
+        linger tick).  A slice is popped and queued on ``_wlock`` with
+        no await between, so the two flushers can never reorder
+        slices."""
+        core = self.core
+        while core.buffer and not self._killed:
+            slice_ = core.take_slice()
+            if slice_ is not None:
+                await self._send((WIRE_DATA, slice_))
+                continue
             # Out of credit with items still buffered.
             if not block:
                 return
-            if self._killed:
-                return
-            if self._greedy:
-                self._credit = self.server.max_credit
-                continue
             self._credit_wakeup.clear()
             try:
                 await asyncio.wait_for(
@@ -294,43 +208,21 @@ class _AsyncSession:
             except asyncio.TimeoutError:
                 pass
 
-    async def _append(self, value: Any) -> None:
-        if not self._buffer:
-            self._buf_oldest = time.monotonic()
-        self._buffer.append(value)
-        if len(self._buffer) >= self.batch:
-            await self._flush(block=True)
-
     async def run(self) -> None:
         """The session's main coroutine: request → body → stream →
         terminator (control connections short-circuit to the probe/
         gossip loop, exactly like the threaded server)."""
         try:
             try:
-                envelope = await asyncio.wait_for(
-                    self._recv(), _REQUEST_TIMEOUT
-                )
-            except (
-                OSError,
-                EOFError,
-                FrameError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-            ):
+                envelope = await asyncio.wait_for(self._recv(), REQUEST_TIMEOUT)
+            except (OSError, EOFError, FrameError, asyncio.TimeoutError):
                 return  # client vanished before asking for anything
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:  # noqa: BLE001 - reported to client
-                await self._send_failure(error)
-                return
-            if envelope[0] in (WIRE_PING, WIRE_PEERS):
-                self.request_name = "control"
+            if envelope[0] in CONTROL_KINDS:
+                self.core.request_name = "control"
                 await self._run_control(envelope)
                 return
             try:
-                coexpr = self._build_body(envelope)
-            except asyncio.CancelledError:
-                raise
+                coexpr = self.core.build_body(*self.core.parse_request(envelope))
             except Exception as error:  # noqa: BLE001 - reported to client
                 await self._send_failure(error)
                 return
@@ -345,90 +237,38 @@ class _AsyncSession:
 
     async def _run_control(self, envelope: tuple | None) -> None:
         """Serve ping/peers frames until the peer closes or goes silent
-        — the membership tier's probe and gossip channel, answered by
-        the loop with the threaded server's exact reply shapes."""
-        idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
+        (:meth:`SessionCore.control` decides which)."""
         try:
             while not self._stopping():
-                if envelope is not None:
-                    kind = envelope[0]
-                    if kind == WIRE_PING:
-                        nonce = envelope[1] if len(envelope) > 1 else None
-                        await self._send((WIRE_PONG, nonce))
-                    elif kind == WIRE_PEERS:
-                        told = envelope[1] if len(envelope) > 1 else None
-                        if told:
-                            self.server._merge_peers(told)
-                        await self._send(
-                            (WIRE_PEERS, self.server.known_peers())
-                        )
-                    else:
-                        return  # protocol violation: drop the connection
-                    idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
-                elif time.monotonic() >= idle_deadline:
-                    return  # silent peer: reclaim the slot
+                reply = self.core.control(envelope, time.monotonic())
+                if reply is None:
+                    return
+                if reply:
+                    await self._send(reply)
                 try:
                     envelope = await asyncio.wait_for(
-                        self._recv(), self.heartbeat_interval
+                        self._recv(), self.core.heartbeat_interval
                     )
                 except asyncio.TimeoutError:
                     envelope = None
-        except (OSError, EOFError, FrameError, asyncio.IncompleteReadError):
+        except (OSError, EOFError, FrameError):
             pass  # peer gone: the control session just ends
 
-    def _build_body(self, first: tuple) -> CoExpression:
-        kind, *payload = first
-        if kind not in (WIRE_SPAWN, WIRE_CALL) or not payload:
-            raise PipeError(f"expected a spawn/call request, got {kind!r}")
-        request = payload[0]
-        self.request_name = request.get("name") or kind
-        self.batch = max(int(request.get("batch", 1)), 1)
-        if self.server.max_batch is not None:
-            self.batch = min(self.batch, self.server.max_batch)
-        self.max_linger = request.get("max_linger")
-        interval = request.get("heartbeat_interval")
-        if interval:
-            self.heartbeat_interval = float(interval)
-        if kind == WIRE_SPAWN:
-            if not self.server.allow_spawn:
-                raise PipeError(
-                    f"server {self.server.name!r} does not accept spawn "
-                    "requests (allow_spawn=False); use a registered factory"
-                )
-            factory, env = pickle.loads(request["body"])
-            return CoExpression(factory, lambda: env, name=self.request_name)
-        factory = self.server._factory(request["name"])
-        args = tuple(request.get("args") or ())
-        return CoExpression(factory, lambda: args, name=self.request_name)
-
     async def _stream(self, coexpr: CoExpression) -> None:
+        core = self.core
         try:
             while not self._stopping():
-                deadline = self._deadline
-                if deadline is not None and deadline.expired():
-                    if lifecycle_enabled():
-                        emit_lifecycle(
-                            Event(
-                                EventKind.DEADLINE_EXPIRED,
-                                f"pipe:{self.request_name}",
-                                0,
-                                {"where": "session", "remaining": 0.0},
-                            )
-                        )
-                    raise PipeDeadlineExceeded(
-                        f"session {self.request_name!r}: deadline exceeded "
-                        "(session)",
-                        where="session",
-                    )
+                core.check_deadline(time.monotonic())
                 value = coexpr.activate()
                 if value is FAIL:
                     break
-                await self._append(value)
+                if core.append(value, time.monotonic()):
+                    await self._flush(block=True)
                 await asyncio.sleep(0)  # per-item fairness across sessions
             await self._flush(block=True)
             if not self._killed:
                 await self._send((WIRE_CLOSE,))
-        except (OSError, EOFError, FrameError, ConnectionError):
+        except (OSError, EOFError, FrameError):
             pass  # peer gone mid-stream: nothing left to tell it
         except asyncio.CancelledError:
             raise
@@ -441,7 +281,7 @@ class _AsyncSession:
             await self._flush(block=True)
             await self._send((WIRE_ERROR, encode_error(error)))
             await self._send((WIRE_CLOSE,))
-        except (OSError, EOFError, FrameError, ConnectionError):
+        except (OSError, EOFError, FrameError):
             pass  # peer gone: the error dies with the session
 
     # -- reader ----------------------------------------------------------------
@@ -451,79 +291,49 @@ class _AsyncSession:
         liveness — then the lingering half-close drain once the sender
         has finished.  A receive idle for one heartbeat interval sends a
         ``WIRE_BEAT`` and delivers any batch past its linger bound; a
-        frame left partial for ``stall_intervals`` heartbeats kills the
+        frame left partial past the core's stall bound kills the
         session (the wedged-client bound)."""
-        stall_deadline: float | None = None
+        core = self.core
         while not self._killed:
             try:
                 envelope = await asyncio.wait_for(
-                    self._recv(), self.heartbeat_interval
+                    self._recv(), core.heartbeat_interval
                 )
             except asyncio.TimeoutError:
+                now = time.monotonic()
                 # Mid-frame silence counts toward the stall bound; idle
                 # silence proves liveness and runs the linger tick.
-                if self._need is not None:
-                    if stall_deadline is None:
-                        stall_deadline = time.monotonic() + (
-                            self.server.stall_intervals
-                            * self.heartbeat_interval
-                        )
-                    elif time.monotonic() >= stall_deadline:
-                        self.kill()  # stalled mid-frame: a dead client
-                        break
-                else:
-                    stall_deadline = None
+                if core.stalled(self._need is not None, now):
+                    self.kill()  # stalled mid-frame: a dead client
+                    break
                 if self._finished:
                     continue  # draining a half-closed socket: no beats
                 try:
-                    await self._send((WIRE_BEAT, time.monotonic()))
-                except (OSError, EOFError, ConnectionError):
+                    await self._send((WIRE_BEAT, now))
+                    if core.linger_due(now):
+                        await self._flush(block=False)
+                except (OSError, EOFError, FrameError):
                     self.kill()  # wedged client: wake the blocked sender
                     break
-                if (
-                    self.max_linger is not None
-                    and self._buffer
-                    and time.monotonic() - self._buf_oldest >= self.max_linger
-                ):
-                    try:
-                        await self._flush(block=False)
-                    except (OSError, EOFError, FrameError, ConnectionError):
-                        self.kill()
-                        break
                 continue
             except asyncio.IncompleteReadError:
                 if not self._finished:
                     self.kill()  # client left mid-stream: stop the body
                 break
-            except (OSError, EOFError, FrameError, ConnectionError):
+            except (OSError, EOFError, FrameError):
                 self.kill()
                 break
-            except asyncio.CancelledError:
-                raise
-            stall_deadline = None
-            kind = envelope[0]
-            if kind == WIRE_CREDIT:
-                amount = envelope[1] if len(envelope) > 1 else None
-                quota = self.server._quota_announcement(amount)
-                if quota is not None:
-                    try:
-                        await self._send((WIRE_CREDIT, quota))
-                    except (OSError, EOFError, ConnectionError):
-                        self.kill()
-                        break
-                self.grant(amount)
-            elif kind == WIRE_DEADLINE:
-                # Budget, never a timestamp: re-anchor against our own
-                # monotonic clock (see repro.coexpr.deadline).
-                budget = envelope[1] if len(envelope) > 1 else 0.0
-                try:
-                    self._deadline = Deadline(float(budget))
-                except (TypeError, ValueError):
-                    pass  # malformed budget: ignore, don't kill the stream
-            elif kind == WIRE_CANCEL:
-                self.kill()
+            replies = core.feed(envelope, time.monotonic())
+            try:
+                for reply in replies or ():
+                    await self._send(reply)
+            except (OSError, EOFError):
+                replies = None
+            if replies is None:
+                self.kill()  # cancelled, protocol violation or torn socket
                 break
-            # Anything else (a stray beat) is ignored.
+            core.commit()
+            self._credit_wakeup.set()
         if self._finished:
             self._teardown()
 
@@ -588,12 +398,12 @@ class AsyncGeneratorServer(GeneratorServer):
     everything else it owns — the no-orphans contract unchanged.
     """
 
+    default_name = "agenserver"
+    session_events = (EventKind.NET_SESSION, EventKind.ASYNC_SESSION)
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
-        if len(args) < 6:  # name is the sixth positional parameter
-            kwargs.setdefault("name", "agenserver")
         super().__init__(*args, **kwargs)
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_handle: Any = None
         self._bound = threading.Event()
         self._start_error: BaseException | None = None
         self._stop_async: asyncio.Event | None = None
@@ -603,16 +413,11 @@ class AsyncGeneratorServer(GeneratorServer):
 
     def start(self) -> "AsyncGeneratorServer":
         """Bind, listen, and run the event loop on a scheduler thread."""
-        with self._lock:
-            if self._stopped:
-                raise PipeError("start on a shut-down AsyncGeneratorServer")
-            if self._started:
-                return self
-            self._started = True
-        self._warn_non_loopback()
+        if not self._claim_start():
+            return self
         self.scheduler.track_session(self)
         try:
-            self._loop_handle = self.scheduler.submit(
+            self._accept_handle = self.scheduler.submit(
                 self._run_loop, name=f"{self.name}-loop"
             )
         except BaseException:
@@ -625,25 +430,6 @@ class AsyncGeneratorServer(GeneratorServer):
             raise error
         return self
 
-    def _warn_non_loopback(self) -> None:
-        import warnings
-
-        from .server import _is_loopback
-
-        if not _is_loopback(self.host):
-            warnings.warn(
-                f"AsyncGeneratorServer {self.name!r} is binding non-loopback "
-                f"host {self.host!r}: the wire protocol is unauthenticated "
-                + (
-                    "and allow_spawn=True lets any client execute arbitrary "
-                    "code — expose it to trusted networks only"
-                    if self.allow_spawn
-                    else "— expose it to trusted networks only"
-                ),
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
@@ -652,25 +438,19 @@ class AsyncGeneratorServer(GeneratorServer):
             loop.run_until_complete(self._main())
         except BaseException as error:  # noqa: BLE001 - surfaced via start()
             if not self._bound.is_set():
-                self._start_error = error
-                self._bound.set()
+                self._start_error = error  # e.g. the bind failed
         finally:
             try:
                 loop.close()
             except Exception:  # noqa: BLE001
                 pass
-            self._bound.set()  # belt-and-braces: never strand start()
+            self._bound.set()  # never strand start()
 
     async def _main(self) -> None:
         self._stop_async = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._on_connect, self.host, self.port
-            )
-        except OSError as error:
-            self._start_error = error
-            self._bound.set()
-            return
+        server = await asyncio.start_server(
+            self._on_connect, self.host, self.port
+        )
         try:
             self.host, self.port = server.sockets[0].getsockname()[:2]
             self._bound.set()
@@ -741,33 +521,9 @@ class AsyncGeneratorServer(GeneratorServer):
         through a lingering half-close, so the busy reply survives the
         client's in-flight handshake (same shape as the threaded
         server's shed path)."""
-        with self._lock:
-            self._shed_count += 1
-            active = len(self._sessions)
+        self._count_shed(_peername(writer))
         try:
-            peer = writer.get_extra_info("peername")
-        except Exception:  # noqa: BLE001
-            peer = None
-        if lifecycle_enabled():
-            emit_lifecycle(
-                Event(
-                    EventKind.SHED,
-                    f"server:{self.name}",
-                    0,
-                    {
-                        "peer": peer,
-                        "active": active,
-                        "max_sessions": self.max_sessions,
-                        "retry_after": self.retry_after,
-                    },
-                )
-            )
-        try:
-            payload = pickle.dumps(
-                (WIRE_BUSY, self.retry_after),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            writer.write(_HEADER.pack(len(payload)) + payload)
+            writer.write(encode_frame((WIRE_BUSY, self.retry_after)))
             await writer.drain()
             if writer.can_write_eof():
                 writer.write_eof()
@@ -779,29 +535,13 @@ class AsyncGeneratorServer(GeneratorServer):
                     continue
                 if not chunk:
                     break  # client saw the busy reply and hung up
-        except (OSError, ConnectionError):
+        except OSError:
             pass  # the impatient client already hung up
         finally:
             try:
                 writer.close()
             except Exception:  # noqa: BLE001
                 pass
-
-    def _note_session(self, session: Any) -> None:
-        super()._note_session(session)
-        if lifecycle_enabled():
-            emit_lifecycle(
-                Event(
-                    EventKind.ASYNC_SESSION,
-                    f"pipe:{session.request_name}",
-                    0,
-                    {
-                        "peer": session.peer,
-                        "name": session.request_name,
-                        "server": self.name,
-                    },
-                )
-            )
 
     # -- cross-thread control ----------------------------------------------
 
@@ -838,37 +578,10 @@ class AsyncGeneratorServer(GeneratorServer):
                 self._stop_async.set()
 
         self._call_on_loop(_signal)
-        handle = self._loop_handle
+        handle = self._accept_handle
         if wait and handle is not None:
             # The loop thread exits once the drain completes; give it
             # the drain budget plus slack for the cancellation sweep.
             handle.join(timeout + 2.0)
         if started:
             self.scheduler.untrack_session(self)
-
-    # -- session protocol (scheduler accounting) -------------------------------
-
-    def kill(self) -> None:
-        """Scheduler-shutdown hook: stop the loop, cancel every session."""
-        self.shutdown(wait=False)
-
-    def is_alive(self) -> bool:
-        handle = self._loop_handle
-        return handle is not None and handle.is_alive()
-
-    def join(self, timeout: float | None = None) -> bool:
-        handle = self._loop_handle
-        if handle is None:
-            return True
-        return handle.join(timeout)
-
-    def __repr__(self) -> str:
-        state = (
-            "stopped"
-            if self._stopped
-            else ("listening" if self._started else "unstarted")
-        )
-        return (
-            f"AsyncGeneratorServer({self.name}, {self.host}:{self.port}, "
-            f"{state}, active={len(self._sessions)})"
-        )

@@ -2,8 +2,10 @@
 
 One server hosts many concurrent clients; each accepted connection
 becomes a *session* that runs one pipeline body to exhaustion and
-streams its results back as wire envelopes.  A session is two scheduler
-threads:
+streams its results back as wire envelopes.  The protocol rules live in
+the sans-IO :class:`~repro.net.session.SessionCore`, which this server
+and the event-loop server (:mod:`repro.net.aserver`) both drive.  Here
+a session is two scheduler threads around it:
 
 * the **sender** reads the request, builds the body (a pickled
   ``(factory, env)`` pair for ``spawn`` requests, a registered factory
@@ -37,7 +39,6 @@ SIGTERM/SIGINT for the ``junicon-serve`` entry point.
 from __future__ import annotations
 
 import itertools
-import pickle
 import select
 import socket
 import threading
@@ -46,32 +47,22 @@ import warnings
 from typing import Any, Callable
 
 from ..coexpr.coexpression import CoExpression
-from ..coexpr.deadline import Deadline
 from ..coexpr.scheduler import PipeScheduler, default_scheduler
 from ..coexpr.wire import (
     WIRE_BEAT,
     WIRE_BUSY,
-    WIRE_CALL,
-    WIRE_CANCEL,
     WIRE_CLOSE,
-    WIRE_CREDIT,
     WIRE_DATA,
-    WIRE_DEADLINE,
     WIRE_ERROR,
-    WIRE_PEERS,
-    WIRE_PING,
-    WIRE_PONG,
-    WIRE_SPAWN,
     FrameError,
     SocketFramer,
     encode_error,
 )
-from ..errors import PipeDeadlineExceeded, PipeError, SchedulerShutdownError
+from ..errors import PipeError, SchedulerShutdownError
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
+from .session import CONTROL_KINDS, REQUEST_TIMEOUT, SessionCore
 
-#: How long a session waits for the client's request envelope.
-_REQUEST_TIMEOUT = 10.0
 #: Accept-loop poll slice — bounds shutdown latency, not throughput.
 _ACCEPT_SLICE = 0.2
 #: Credit-wait slice for a sender with items but no credit.
@@ -85,13 +76,9 @@ _STALL_INTERVALS = 10
 _SHED_LINGER = 0.5
 
 
-def _is_loopback(host: str) -> bool:
-    """True when *host* only ever admits local clients."""
-    return host in ("localhost", "::1") or host.startswith("127.")
-
-
 class Session:
-    """One client connection: a body, its sender, and its reader."""
+    """One client connection: a :class:`~repro.net.session.SessionCore`
+    driven by a sender thread and a reader thread."""
 
     _ids = itertools.count(1)
 
@@ -100,20 +87,12 @@ class Session:
         "framer",
         "peer",
         "name",
-        "request_name",
-        "batch",
-        "max_linger",
-        "heartbeat_interval",
+        "core",
         "coexpr",
         "handle",
         "reader_handle",
         "_cond",
         "_order",
-        "_credit",
-        "_greedy",
-        "_deadline",
-        "_buffer",
-        "_buf_oldest",
         "_killed",
         "_cancelled",
         "_finished",
@@ -128,31 +107,18 @@ class Session:
         self.framer = SocketFramer(sock, trusted=server.allow_spawn)
         self.peer = peer
         self.name = f"net-session-{next(self._ids)}"
-        self.request_name = ""
-        self.batch = 1
-        self.max_linger: float | None = None
-        self.heartbeat_interval = server.heartbeat_interval
+        self.core = SessionCore(server)
         self.coexpr: CoExpression | None = None
         self.handle: Any = None         # sender (main) scheduler handle
         self.reader_handle: Any = None  # control-channel scheduler handle
+        #: Guards the core's credit and buffer; the sender waits on it
+        #: for credit.
         self._cond = threading.Condition()
         #: Serializes the pop-buffer/send-WIRE_DATA pair across the two
         #: flushing threads (sender and the reader's linger tick) —
         #: separate from ``_cond`` so credit grants still land while a
         #: sendall is throttled by the socket.
         self._order = threading.Lock()
-        #: Items the client has granted (None = unlimited, its channel is
-        #: unbounded).  Starts at zero: nothing is sent before the first
-        #: grant, which the client ships right behind its request.
-        self._credit: int | None = 0
-        #: True once a quota clamped an *unlimited* grant: the sender
-        #: self-replenishes credit (the client will never send more).
-        self._greedy = False
-        #: Budget received in a ``WIRE_DEADLINE`` envelope, re-anchored
-        #: against this host's monotonic clock.
-        self._deadline: Deadline | None = None
-        self._buffer: list = []
-        self._buf_oldest = 0.0
         self._killed = False
         self._cancelled = False
         self._finished = False
@@ -209,39 +175,6 @@ class Session:
     def _stopping(self) -> bool:
         return self._killed or self._cancelled
 
-    # -- credit ----------------------------------------------------------------
-
-    def grant(self, amount: int | None) -> None:
-        """Apply one ``WIRE_CREDIT`` envelope (None = unlimited).
-
-        The client grants its window up front, then grants delivered
-        items back in batches once half the window has drained.  A
-        server ``max_credit`` quota caps outstanding credit here, at
-        the grant path — the one place every credit enters.  Bounded
-        grants accumulate only up to the quota; an initial grant the
-        quota clamps is first answered with the quota itself
-        (:meth:`GeneratorServer._quota_announcement`), so the client's
-        half-window threshold shrinks to fit.  An *unlimited* grant
-        (the client's channel is unbounded, so it will never send
-        another credit envelope) becomes quota-sized **greedy** credit
-        instead: :meth:`_flush` self-replenishes it, so the stream
-        proceeds in quota-sized slices rather than wedging on a
-        replenishment that cannot come.
-        """
-        quota = self.server.max_credit
-        with self._cond:
-            if amount is None:
-                if quota is None:
-                    self._credit = None
-                else:
-                    self._greedy = True
-                    self._credit = quota
-            elif self._credit is not None:
-                self._credit += amount
-                if quota is not None and self._credit > quota:
-                    self._credit = quota
-            self._cond.notify_all()
-
     # -- sender ----------------------------------------------------------------
 
     def _flush(self, block: bool) -> None:
@@ -261,47 +194,23 @@ class Session:
         ``_order``, so a credit-starved sender never locks the reader's
         linger tick out of the control channel the credit must arrive on.
         """
+        core = self.core
         while True:
             with self._order:
                 with self._cond:
-                    if not self._buffer or self._killed:
+                    if not core.buffer or self._killed:
                         return
-                    credit = self._credit
-                    if credit == 0:
-                        slice_ = None
-                    else:
-                        take = (
-                            len(self._buffer)
-                            if credit is None
-                            else min(credit, len(self._buffer))
-                        )
-                        slice_, self._buffer = (
-                            self._buffer[:take],
-                            self._buffer[take:],
-                        )
-                        if credit is not None:
-                            self._credit = credit - take
+                    slice_ = core.take_slice()
                 if slice_ is not None:
                     self.framer.send((WIRE_DATA, slice_))
                     continue
-            # Out of credit with items still buffered.
+            # Out of credit with items still buffered (greedy credit
+            # never gets here: take_slice replenishes it).
             if not block:
                 return
             with self._cond:
-                if self._buffer and self._credit == 0 and not self._killed:
-                    if self._greedy:
-                        self._credit = self.server.max_credit
-                    else:
-                        self._cond.wait(_CREDIT_SLICE)
-
-    def _append(self, value: Any) -> None:
-        with self._cond:
-            if not self._buffer:
-                self._buf_oldest = time.monotonic()
-            self._buffer.append(value)
-            full = len(self._buffer) >= self.batch
-        if full:
-            self._flush(block=True)
+                if core.buffer and core.credit == 0 and not self._killed:
+                    self._cond.wait(_CREDIT_SLICE)
 
     def run(self) -> None:
         """The sender thread: request → body → stream → terminator.
@@ -317,15 +226,12 @@ class Session:
                 envelope = self._read_first()
             except (OSError, EOFError, FrameError, TimeoutError):
                 return  # client vanished before asking for anything
-            except Exception as error:  # noqa: BLE001 - reported to the client
-                self._send_failure(error)
-                return
-            if envelope[0] in (WIRE_PING, WIRE_PEERS):
-                self.request_name = "control"
+            if envelope[0] in CONTROL_KINDS:
+                self.core.request_name = "control"
                 self._run_control(envelope)
                 return
             try:
-                kind, request = self._parse_request(envelope)
+                kind, request = self.core.parse_request(envelope)
             except Exception as error:  # noqa: BLE001 - reported to the client
                 self._send_failure(error)
                 return
@@ -335,7 +241,7 @@ class Session:
                 self._run_reader, name=f"{self.name}-reader"
             )
             try:
-                coexpr = self._build_body(kind, request)
+                coexpr = self.core.build_body(kind, request)
             except Exception as error:  # noqa: BLE001 - reported to the client
                 self._send_failure(error)
                 return
@@ -351,7 +257,7 @@ class Session:
         # the sender's sendall never inherits a receive timeout (a send
         # throttled past one heartbeat interval is flow control, not a
         # dead peer).
-        self.framer.sock.settimeout(_REQUEST_TIMEOUT)
+        self.framer.sock.settimeout(REQUEST_TIMEOUT)
         try:
             return self.framer.recv()
         finally:
@@ -361,36 +267,18 @@ class Session:
                 pass
 
     def _run_control(self, envelope: tuple | None) -> None:
-        """Serve ping/peers envelopes until the peer closes or goes
-        silent.
-
-        A prober holds this connection open across rounds, so the loop
-        answers any number of control frames.  The receive timeout is
-        one heartbeat interval — short enough that a graceful shutdown
-        (``finish`` sets ``_cancelled``) is honored promptly — and a
-        peer silent for the request timeout is dropped, so an abandoned
-        prober cannot pin a session slot forever.
-        """
-        sock = self.framer.sock
-        idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
+        """Serve ping/peers envelopes until :meth:`SessionCore.control`
+        ends the session.  A prober holds the connection open across
+        rounds; the one-heartbeat receive timeout keeps a graceful
+        shutdown (``finish`` sets ``_cancelled``) prompt."""
         try:
-            sock.settimeout(self.heartbeat_interval)
+            self.framer.sock.settimeout(self.core.heartbeat_interval)
             while not self._stopping():
-                if envelope is not None:
-                    kind = envelope[0]
-                    if kind == WIRE_PING:
-                        nonce = envelope[1] if len(envelope) > 1 else None
-                        self.framer.send((WIRE_PONG, nonce))
-                    elif kind == WIRE_PEERS:
-                        told = envelope[1] if len(envelope) > 1 else None
-                        if told:
-                            self.server._merge_peers(told)
-                        self.framer.send((WIRE_PEERS, self.server.known_peers()))
-                    else:
-                        return  # protocol violation: drop the connection
-                    idle_deadline = time.monotonic() + _REQUEST_TIMEOUT
-                elif time.monotonic() >= idle_deadline:
-                    return  # silent peer: reclaim the slot
+                reply = self.core.control(envelope, time.monotonic())
+                if reply is None:
+                    return
+                if reply:
+                    self.framer.send(reply)
                 try:
                     envelope = self.framer.recv()
                 except (socket.timeout, TimeoutError):
@@ -398,65 +286,17 @@ class Session:
         except (OSError, EOFError, FrameError):
             pass  # peer gone: the control session just ends
 
-    def _parse_request(self, first: tuple) -> tuple[str, dict]:
-        """Validate the request envelope and apply its header (batch,
-        linger, heartbeat interval); the body is built separately."""
-        kind, *payload = first
-        if kind not in (WIRE_SPAWN, WIRE_CALL) or not payload:
-            raise PipeError(f"expected a spawn/call request, got {kind!r}")
-        request = payload[0]
-        self.request_name = request.get("name") or kind
-        self.batch = max(int(request.get("batch", 1)), 1)
-        if self.server.max_batch is not None:
-            # The coalescing buffer holds up to one batch before the
-            # sender blocks on credit, so this caps per-session buffered
-            # items no matter what slice size the client asks for.
-            self.batch = min(self.batch, self.server.max_batch)
-        self.max_linger = request.get("max_linger")
-        interval = request.get("heartbeat_interval")
-        if interval:
-            self.heartbeat_interval = float(interval)
-        if kind == WIRE_SPAWN and not self.server.allow_spawn:
-            raise PipeError(
-                f"server {self.server.name!r} does not accept spawn "
-                "requests (allow_spawn=False); use a registered factory"
-            )
-        return kind, request
-
-    def _build_body(self, kind: str, request: dict) -> CoExpression:
-        if kind == WIRE_SPAWN:
-            factory, env = pickle.loads(request["body"])
-            return CoExpression(factory, lambda: env, name=self.request_name)
-        factory = self.server._factory(request["name"])
-        args = tuple(request.get("args") or ())
-        return CoExpression(factory, lambda: args, name=self.request_name)
-
     def _stream(self, coexpr: CoExpression) -> None:
         try:
             while not self._stopping():
-                deadline = self._deadline
-                if deadline is not None and deadline.expired():
-                    # A reported crash, not a kill: _send_failure flushes
-                    # buffered data first, so the client still receives
-                    # everything produced within budget.
-                    if lifecycle_enabled():
-                        emit_lifecycle(
-                            Event(
-                                EventKind.DEADLINE_EXPIRED,
-                                f"pipe:{self.request_name}",
-                                0,
-                                {"where": "session", "remaining": 0.0},
-                            )
-                        )
-                    raise PipeDeadlineExceeded(
-                        f"session {self.request_name!r}: deadline exceeded "
-                        "(session)",
-                        where="session",
-                    )
+                self.core.check_deadline(time.monotonic())
                 value = coexpr.activate()
                 if value is FAIL:
                     break
-                self._append(value)
+                with self._cond:
+                    full = self.core.append(value, time.monotonic())
+                if full:
+                    self._flush(block=True)
             self._flush(block=True)
             if not self._killed:
                 self.framer.send((WIRE_CLOSE,))
@@ -490,34 +330,24 @@ class Session:
         sender's sendall), so receives go through the framer's
         one-step :meth:`~repro.coexpr.wire.SocketFramer.try_recv` —
         never blocking past the bytes select reported.  A frame left
-        partial for ``_STALL_INTERVALS`` heartbeat intervals kills the
-        session: a wedged client must not pin two scheduler threads and
-        a socket forever.
+        partial past the core's stall bound kills the session: a wedged
+        client must not pin two scheduler threads and a socket forever.
         """
-        sock = self.framer.sock
-        stall_deadline: float | None = None
+        core, framer = self.core, self.framer
         while not self._killed:
-            if self.framer.buffered():
-                ready = True  # a frame the request read already pulled in
-            else:
+            # A frame the request read already pulled in sits in the
+            # framer's buffer, where select would never report it.
+            ready = framer.buffered()
+            if not ready:
                 # Liveness bound on a half-received frame.  Asked of the
                 # framer, not select: partial bytes an earlier receive
                 # pulled into user space never poll readable again.
-                if self.framer.partial():
-                    if stall_deadline is None:
-                        stall_deadline = (
-                            time.monotonic()
-                            + self.server.stall_intervals
-                            * self.heartbeat_interval
-                        )
-                    elif time.monotonic() >= stall_deadline:
-                        self.kill()  # stalled mid-frame: a dead client
-                        break
-                else:
-                    stall_deadline = None
+                if core.stalled(framer.partial(), time.monotonic()):
+                    self.kill()  # stalled mid-frame: a dead client
+                    break
                 try:
                     ready, _, _ = select.select(
-                        [sock], [], [], self.heartbeat_interval
+                        [framer.sock], [], [], core.heartbeat_interval
                     )
                 except (OSError, ValueError):
                     break  # socket closed under us
@@ -526,24 +356,17 @@ class Session:
                     continue  # draining a half-closed socket: no beats
                 # Idle exactly one heartbeat interval: prove liveness,
                 # and deliver any batch that has out-lingered its bound.
+                now = time.monotonic()
                 try:
-                    self.framer.send((WIRE_BEAT, time.monotonic()))
-                except (OSError, EOFError):
+                    framer.send((WIRE_BEAT, now))
+                    if core.linger_due(now):
+                        self._flush(block=False)
+                except (OSError, EOFError, FrameError):
                     self.kill()  # wedged client: wake a credit-blocked sender
                     break
-                if (
-                    self.max_linger is not None
-                    and self._buffer
-                    and time.monotonic() - self._buf_oldest >= self.max_linger
-                ):
-                    try:
-                        self._flush(block=False)
-                    except (OSError, EOFError, FrameError):
-                        self.kill()
-                        break
                 continue
             try:
-                envelope = self.framer.try_recv()
+                envelope = framer.try_recv()
             except EOFError:
                 if not self._finished:
                     self.kill()  # client left mid-stream: stop the body
@@ -553,32 +376,19 @@ class Session:
                 self.kill()
                 break
             if envelope is None:
-                continue  # frame still partial; the pre-select check
-                # above starts (and enforces) its completion deadline
-            stall_deadline = None
-            kind = envelope[0]
-            if kind == WIRE_CREDIT:
-                amount = envelope[1] if len(envelope) > 1 else None
-                quota = self.server._quota_announcement(amount)
-                if quota is not None:
-                    try:
-                        self.framer.send((WIRE_CREDIT, quota))
-                    except (OSError, EOFError):
-                        self.kill()
-                        break
-                self.grant(amount)
-            elif kind == WIRE_DEADLINE:
-                # Budget, never a timestamp: re-anchor against our own
-                # monotonic clock (see repro.coexpr.deadline).
-                budget = envelope[1] if len(envelope) > 1 else 0.0
-                try:
-                    self._deadline = Deadline(float(budget))
-                except (TypeError, ValueError):
-                    pass  # malformed budget: ignore, don't kill the stream
-            elif kind == WIRE_CANCEL:
-                self.kill()
+                continue  # frame still partial; core.stalled bounds it
+            replies = core.feed(envelope, time.monotonic())
+            try:
+                for reply in replies or ():
+                    framer.send(reply)
+            except (OSError, EOFError):
+                replies = None
+            if replies is None:
+                self.kill()  # cancelled, protocol violation or torn socket
                 break
-            # Anything else (a stray beat) is ignored.
+            with self._cond:
+                core.commit()
+                self._cond.notify_all()
         if self._finished:
             self._teardown()
 
@@ -656,6 +466,11 @@ class GeneratorServer:
     wedged-client bound).
     """
 
+    #: The ``name`` a server gets when the constructor is not given one.
+    default_name = "genserver"
+    #: Lifecycle events each new session emits.
+    session_events = (EventKind.NET_SESSION,)
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -663,7 +478,7 @@ class GeneratorServer:
         scheduler: PipeScheduler | None = None,
         heartbeat_interval: float = 0.1,
         allow_spawn: bool = True,
-        name: str = "genserver",
+        name: str | None = None,
         max_sessions: int | None = None,
         max_credit: int | None = None,
         max_batch: int | None = None,
@@ -689,7 +504,7 @@ class GeneratorServer:
         self.scheduler = scheduler or default_scheduler()
         self.heartbeat_interval = heartbeat_interval
         self.allow_spawn = allow_spawn
-        self.name = name
+        self.name = self.default_name if name is None else name
         #: Admission bound (None = unlimited): dials past this many open
         #: sessions are shed with ``WIRE_BUSY``.
         self.max_sessions = max_sessions
@@ -717,6 +532,7 @@ class GeneratorServer:
         self._peers: dict[tuple, float] = {}  # known fleet: address -> weight
         self._factories: dict[str, Callable[..., Any]] = {}
         self._listener: socket.socket | None = None
+        #: The thread that accepts dials (the event loop's, async).
         self._accept_handle: Any = None
         self._lock = threading.Lock()
         self._sessions: list[Session] = []
@@ -724,22 +540,6 @@ class GeneratorServer:
         self._started = False
         self._served = 0
         self._shed_count = 0
-
-    def _quota_announcement(self, amount: Any) -> int | None:
-        """The quota to send back before applying credit grant *amount*,
-        or None.
-
-        A bounded grant larger than ``max_credit`` is answered with one
-        ``(WIRE_CREDIT, max_credit)`` frame ahead of any data, and the
-        client shrinks its window to match: otherwise it would wait for
-        half a window to drain while the server stops at the quota.
-        Only a client's initial grant can be that large — the delivered
-        items a conforming client grants back never exceed the quota.
-        """
-        quota = self.max_credit
-        if quota is not None and amount is not None and amount > quota:
-            return quota
-        return None
 
     # -- registry --------------------------------------------------------------
 
@@ -770,25 +570,8 @@ class GeneratorServer:
 
     def start(self) -> "GeneratorServer":
         """Bind, listen, and run the accept loop on a scheduler thread."""
-        with self._lock:
-            if self._stopped:
-                raise PipeError("start on a shut-down GeneratorServer")
-            if self._started:
-                return self
-            self._started = True
-        if not _is_loopback(self.host):
-            warnings.warn(
-                f"GeneratorServer {self.name!r} is binding non-loopback "
-                f"host {self.host!r}: the wire protocol is unauthenticated "
-                + (
-                    "and allow_spawn=True lets any client execute arbitrary "
-                    "code — expose it to trusted networks only"
-                    if self.allow_spawn
-                    else "— expose it to trusted networks only"
-                ),
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if not self._claim_start():
+            return self
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
@@ -809,6 +592,33 @@ class GeneratorServer:
             listener.close()
             raise
         return self
+
+    def _claim_start(self) -> bool:
+        """Mark the server started (False if it already was), warning
+        when the bind host admits non-local clients."""
+        with self._lock:
+            if self._stopped:
+                raise PipeError(f"start on a shut-down {type(self).__name__}")
+            if self._started:
+                return False
+            self._started = True
+        loopback = self.host in ("localhost", "::1") or self.host.startswith(
+            "127."
+        )
+        if not loopback:
+            warnings.warn(
+                f"{type(self).__name__} {self.name!r} is binding non-loopback "
+                f"host {self.host!r}: the wire protocol is unauthenticated "
+                + (
+                    "and allow_spawn=True lets any client execute arbitrary "
+                    "code — expose it to trusted networks only"
+                    if self.allow_spawn
+                    else "— expose it to trusted networks only"
+                ),
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return True
 
     @property
     def address(self) -> tuple:
@@ -947,26 +757,7 @@ class GeneratorServer:
         hint.  Sending FIN first and draining the handshake bytes (off
         the accept thread, so a shed storm cannot serialize admission)
         lets the envelope land."""
-        with self._lock:
-            self._shed_count += 1
-            active = len(self._sessions)
-        # Emit before the busy reply goes out: the moment the reply is
-        # on the wire the client can raise PipeServerBusy and a tracer
-        # watching for the shed may already have unsubscribed.
-        if lifecycle_enabled():
-            emit_lifecycle(
-                Event(
-                    EventKind.SHED,
-                    f"server:{self.name}",
-                    0,
-                    {
-                        "peer": peer,
-                        "active": active,
-                        "max_sessions": self.max_sessions,
-                        "retry_after": self.retry_after,
-                    },
-                )
-            )
+        self._count_shed(peer)
         try:
             SocketFramer(sock).send((WIRE_BUSY, self.retry_after))
             sock.shutdown(socket.SHUT_WR)
@@ -986,6 +777,31 @@ class GeneratorServer:
                     sock.close()
                 except OSError:
                     pass
+
+    def _count_shed(self, peer: Any) -> None:
+        """Count one shed dial and emit its ``SHED`` event.
+
+        Call it before the busy reply goes out: the moment the reply is
+        on the wire the client can raise PipeServerBusy, and a tracer
+        watching for the shed may already have unsubscribed.
+        """
+        with self._lock:
+            self._shed_count += 1
+            active = len(self._sessions)
+        if lifecycle_enabled():
+            emit_lifecycle(
+                Event(
+                    EventKind.SHED,
+                    f"server:{self.name}",
+                    0,
+                    {
+                        "peer": peer,
+                        "active": active,
+                        "max_sessions": self.max_sessions,
+                        "retry_after": self.retry_after,
+                    },
+                )
+            )
 
     @staticmethod
     def _drain_shed(sock: Any) -> None:
@@ -1007,20 +823,12 @@ class GeneratorServer:
         except OSError:
             pass
 
-    def _note_session(self, session: Session) -> None:
+    def _note_session(self, session: Any) -> None:
         if lifecycle_enabled():
-            emit_lifecycle(
-                Event(
-                    EventKind.NET_SESSION,
-                    f"pipe:{session.request_name}",
-                    0,
-                    {
-                        "peer": session.peer,
-                        "name": session.request_name,
-                        "server": self.name,
-                    },
-                )
-            )
+            name = session.core.request_name
+            detail = {"peer": session.peer, "name": name, "server": self.name}
+            for kind in self.session_events:
+                emit_lifecycle(Event(kind, f"pipe:{name}", 0, detail))
 
     def _forget(self, session: Session) -> None:
         with self._lock:
@@ -1154,6 +962,6 @@ class GeneratorServer:
             else ("listening" if self._started else "unstarted")
         )
         return (
-            f"GeneratorServer({self.name}, {self.host}:{self.port}, {state}, "
-            f"active={len(self._sessions)})"
+            f"{type(self).__name__}({self.name}, {self.host}:{self.port}, "
+            f"{state}, active={len(self._sessions)})"
         )
