@@ -31,9 +31,14 @@ exactly as it replays a threaded one.
 
 **Cooperative caveat.**  ``activate()`` is synchronous, so one
 activation runs to completion on the loop before anything else does;
-the tier multiplexes *between* results, not inside them.  A worker
-yields to the loop after every activation (``await asyncio.sleep(0)``),
-so fairness is per-item.  Because activations are atomic on the loop,
+the tier multiplexes *between* results, not inside them.  Every
+loop-resident producer follows one :class:`Turn` rule: it yields to the
+loop after each slice it hands off (a batch to its channel, or a
+``WIRE_DATA`` slice to the socket on the event-loop server), and at
+least once per ``sys.getswitchinterval()`` of stepping in between.  So
+fairness is per slice, bounded by the interpreter's own preemption
+quantum; a batch=1 pipe, whose slice is one item, still yields per
+item.  Because activations are atomic on the loop,
 a ``max_linger`` bound needs no separate flusher thread here: the age
 check after each activation observes exactly what a concurrent flusher
 could have — a partial batch can only out-linger its bound while the
@@ -44,9 +49,10 @@ lost the race for the buffer lock.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
-from typing import Any, AsyncIterator, List
+from typing import Any, AsyncIterator, Callable, List
 
 from ..errors import ChannelClosedError, PipeTimeoutError
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
@@ -59,6 +65,39 @@ from .scheduler import WorkerHandle
 #: How long a backpressured async worker sleeps before re-checking a
 #: full bounded channel (cooperative backpressure poll slice).
 _BACKPRESSURE_SLICE = 0.005
+
+
+class Turn:
+    """The cooperative-turn rule of one loop-resident producer.
+
+    A producer yields to the loop after each slice it hands off, and
+    while it steps without handing one off, once per *quantum* of
+    stepping since its last yield.  The quantum is
+    ``sys.getswitchinterval()``, the interval after which the
+    interpreter asks a thread to drop the GIL, so a loop producer holds
+    its thread no longer than a thread-tier producer holds the GIL.
+    :meth:`due` is the sans-IO decision, read off *clock*; :meth:`pace`
+    acts on it.
+    """
+
+    __slots__ = ("clock", "quantum", "_since")
+
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self.clock = clock
+        self.quantum = sys.getswitchinterval()
+        self._since = clock()
+
+    def due(self, handed_off: bool) -> bool:
+        """Whether the step that just ended must yield: always after a
+        handoff, else once a quantum has passed since the last yield."""
+        return handed_off or self.clock() - self._since >= self.quantum
+
+    async def pace(self, handed_off: bool) -> None:
+        """End one producer step, yielding to the loop when :meth:`due`."""
+        if self.due(handed_off):
+            await asyncio.sleep(0)
+            self._since = self.clock()
+
 
 # ---------------------------------------------------------------------------
 # The shared background event loop.
@@ -345,6 +384,7 @@ class AsyncPipe:
         deadline = self.deadline
         batch = self.batch
         buffer: List[Any] = []
+        turn = Turn()
         try:
             while not self._cancelled:
                 if deadline is not None and deadline.expired():
@@ -363,12 +403,14 @@ class AsyncPipe:
                     break
                 if batch > 1:
                     buffer.append(value)
-                    if len(buffer) >= batch:
+                    handed_off = len(buffer) >= batch
+                    if handed_off:
                         await out.put_many(buffer)
                         buffer = []
                 else:
                     await out.put(value)
-                await asyncio.sleep(0)  # per-item fairness across tasks
+                    handed_off = True
+                await turn.pace(handed_off)
             if buffer:
                 await out.put_many(buffer)  # flush-on-exhaustion
         except ChannelClosedError:
@@ -571,6 +613,7 @@ class AsyncWorker:
         max_linger = pipe.max_linger
         buffer: List[Any] = []
         oldest = 0.0
+        turn = Turn()
         try:
             while not pipe._cancelled:
                 if deadline is not None and deadline.expired():
@@ -585,14 +628,16 @@ class AsyncWorker:
                     # Activations are atomic on the loop, so this
                     # post-activation age check is the linger flusher
                     # (see the module docstring's cooperative caveat).
-                    if len(buffer) >= batch or (
+                    handed_off = len(buffer) >= batch or (
                         max_linger is not None
                         and time.monotonic() - oldest >= max_linger
-                    ):
+                    )
+                    if handed_off:
                         await self._flush(buffer)
                 else:
                     await self._deliver(out, [value])
-                await asyncio.sleep(0)  # per-item fairness across workers
+                    handed_off = True
+                await turn.pace(handed_off)
             if buffer:  # flush-on-exhaustion: no result is stranded
                 await self._flush(buffer)
         except ChannelClosedError:

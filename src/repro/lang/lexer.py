@@ -83,8 +83,10 @@ class Lexer:
             if char == "\x00":
                 yield self._native()
                 continue
-            if char.isdigit() or (
-                char == "." and self.pos + 1 < length and text[self.pos + 1].isdigit()
+            # isdecimal, not isdigit: superscripts and other digit-like
+            # characters pass isdigit but int() and float() reject them.
+            if char.isdecimal() or (
+                char == "." and self.pos + 1 < length and text[self.pos + 1].isdecimal()
             ):
                 yield self._number()
                 continue
@@ -137,13 +139,13 @@ class Lexer:
         line, column = self.line, self.column
         text = self.source
         start = self.pos
-        while self.pos < len(text) and text[self.pos].isdigit():
+        while self.pos < len(text) and text[self.pos].isdecimal():
             self._advance(1)
         # Radix literal: 16rFF
         if (
             self.pos < len(text)
             and text[self.pos] in "rR"
-            and text[start: self.pos].isdigit()
+            and text[start: self.pos].isdecimal()
             and self.pos + 1 < len(text)
             and text[self.pos + 1].isalnum()
         ):
@@ -166,20 +168,20 @@ class Lexer:
             self.pos < len(text)
             and text[self.pos] == "."
             and self.pos + 1 < len(text)
-            and text[self.pos + 1].isdigit()
+            and text[self.pos + 1].isdecimal()
         ):
             is_real = True
             self._advance(1)
-            while self.pos < len(text) and text[self.pos].isdigit():
+            while self.pos < len(text) and text[self.pos].isdecimal():
                 self._advance(1)
         if self.pos < len(text) and text[self.pos] in "eE":
             lookahead = self.pos + 1
             if lookahead < len(text) and text[lookahead] in "+-":
                 lookahead += 1
-            if lookahead < len(text) and text[lookahead].isdigit():
+            if lookahead < len(text) and text[lookahead].isdecimal():
                 is_real = True
                 self._advance(lookahead - self.pos)
-                while self.pos < len(text) and text[self.pos].isdigit():
+                while self.pos < len(text) and text[self.pos].isdecimal():
                     self._advance(1)
         literal = text[start: self.pos]
         if is_real:

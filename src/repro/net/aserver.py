@@ -29,9 +29,12 @@ unpickler that refuses every global lookup.
 
 The cooperative caveat of :mod:`repro.coexpr.aio` applies: one
 ``activate()`` runs to completion on the loop, so the tier multiplexes
-*between* results.  Streams of many small results interleave fairly
-(the sender yields per item); a single multi-second activation would
-stall every session — host such bodies on the threaded server.
+*between* results.  Streams of many small results interleave fairly:
+the sender follows the :class:`~repro.coexpr.aio.Turn` rule, yielding
+after each ``WIRE_DATA`` slice it sends and at least once per
+``sys.getswitchinterval()`` while it fills one.  A single multi-second
+activation would still stall every session, so host such bodies on the
+threaded server.
 
 **Known limitation: slow body unpickling.**  A ``spawn`` body is
 unpickled inline on the loop.  A body whose unpickling is slow (a cold
@@ -50,6 +53,7 @@ import threading
 import time
 from typing import Any
 
+from ..coexpr.aio import Turn
 from ..coexpr.coexpression import CoExpression
 from ..coexpr.wire import (
     HEADER_SIZE,
@@ -256,15 +260,17 @@ class _AsyncSession:
 
     async def _stream(self, coexpr: CoExpression) -> None:
         core = self.core
+        turn = Turn()
         try:
             while not self._stopping():
                 core.check_deadline(time.monotonic())
                 value = coexpr.activate()
                 if value is FAIL:
                     break
-                if core.append(value, time.monotonic()):
+                handed_off = core.append(value, time.monotonic())
+                if handed_off:
                     await self._flush(block=True)
-                await asyncio.sleep(0)  # per-item fairness across sessions
+                await turn.pace(handed_off)
             await self._flush(block=True)
             if not self._killed:
                 await self._send((WIRE_CLOSE,))

@@ -19,6 +19,17 @@ printable = st.text(
     alphabet=st.characters(min_codepoint=9, max_codepoint=126), max_size=60
 )
 
+# Every code point, lone surrogates included, with number syntax mixed
+# in so digit-like characters land where the number scanner looks.
+any_unicode = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("0123456789.eErR+-"),
+        st.characters(categories=["N"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=30,
+)
+
 token_soup = st.lists(
     st.sampled_from(
         [
@@ -46,6 +57,14 @@ class TestLexerTotality:
     @given(printable)
     @fuzz
     def test_lexer_never_raises_foreign_exceptions(self, text):
+        try:
+            tokenize(text)
+        except ReproError:
+            pass
+
+    @given(any_unicode)
+    @fuzz
+    def test_lexer_total_over_all_of_unicode(self, text):
         try:
             tokenize(text)
         except ReproError:

@@ -54,6 +54,20 @@ class TestNumbers:
         tokens = tokenize("x.f")
         assert [t.kind for t in tokens[:-1]] == [IDENT, OP, IDENT]
 
+    # Superscripts pass str.isdigit but int() and float() reject them;
+    # only decimal digits may start or continue a number.
+    @pytest.mark.parametrize("source", ["x := \u00b2", ".\u00b2", "1.\u00b2", "1e+\u00b3"])
+    def test_non_decimal_digit_is_a_lex_error(self, source):
+        with pytest.raises(LexError):
+            tokenize(source)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [("1E\u00b2", [1, "E\u00b2"]), ("\u0661\u0662", [12]), ("2r10", [2])],
+    )
+    def test_only_decimal_digits_scan_as_numbers(self, source, expected):
+        assert values(source) == expected
+
 
 class TestStrings:
     def test_string_literal(self):

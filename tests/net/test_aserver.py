@@ -17,6 +17,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -56,6 +57,15 @@ def ticker(delay=0.02):
 def crasher(n):
     yield from range(n)
     raise ValueError("factory crashed")
+
+
+def busy(n, seconds=0.001):
+    """*n* results, each after busy-waiting *seconds* inside activate()."""
+    for i in range(n):
+        limit = time.perf_counter() + seconds
+        while time.perf_counter() < limit:
+            pass
+        yield i
 
 
 @pytest.fixture
@@ -401,6 +411,55 @@ class TestEagerDrain:
             assert pool.stats()["failovers"] == 1
             assert pool.last_address("source") != primary
             assert elapsed < 2.0, f"failover took {elapsed:.2f}s"
+
+
+class TestCooperativeTurn:
+    """A sender filling one huge slice from slow activations must still
+    yield once per switch interval: its own heartbeats and every other
+    session on the loop keep flowing while the slice fills."""
+
+    def test_slow_bulk_slice_starves_neither_beats_nor_sessions(self):
+        n = 2000  # ~2s of stepping: twice the client's 1s silence bound
+        with AsyncGeneratorServer() as srv:
+            srv.register("busy", busy)
+            srv.register("counter", counter)
+            ticker = RemotePipe(
+                srv.address, "counter", args=(10**9,), capacity=1
+            )
+            assert ticker.take() == 0
+            arrivals = []
+            stop = threading.Event()
+
+            def tick():
+                while not stop.is_set():
+                    ticker.take(timeout=10.0)
+                    arrivals.append(time.monotonic())
+
+            thread = threading.Thread(target=tick)
+            thread.start()
+            try:
+                bulk = RemotePipe(
+                    srv.address,
+                    "busy",
+                    args=(n,),
+                    batch=4096,
+                    heartbeat_interval=0.05,
+                )
+                started = time.monotonic()
+                # One slice at exhaustion; PipeConnectionLost would mean
+                # the loop sent no WIRE_BEAT for a whole silence bound.
+                assert list(bulk.iterate()) == list(range(n))
+                ended = time.monotonic()
+            finally:
+                stop.set()
+                thread.join()
+                ticker.cancel()
+        quarter = (ended - started) / 4
+        for k in range(4):
+            low, high = started + k * quarter, started + (k + 1) * quarter
+            assert any(low <= t < high for t in arrivals), (
+                f"ticker starved in quarter {k} of the bulk stream"
+            )
 
 
 class TestCli:
