@@ -20,7 +20,9 @@ Three layers:
   (blocking ``take``, the public ``out`` channel) but its producer runs
   as a coroutine on the shared background loop, multiplexed with every
   other async worker.  Backpressure is cooperative: a bounded channel
-  parks the coroutine on a poll-sleep, never the loop.
+  parks the coroutine on a poll-sleep, never the loop.  A body the loop
+  cannot host (:func:`async_unsafe_reason`) is refused with its reason,
+  and the pipe degrades to a thread like any other tier's.
 
 **Refresh is a snapshot.**  ``^c`` on an async pipe follows Prokopec &
 Liu's coroutines-with-snapshots model: the refreshed copy restarts from
@@ -52,14 +54,16 @@ import asyncio
 import sys
 import threading
 import time
+from contextlib import suppress
 from typing import Any, AsyncIterator, Callable, List
 
 from ..errors import ChannelClosedError, PipeTimeoutError
-from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
+from ..monitor.events import EventKind, lifecycle_enabled
 from ..runtime.failure import FAIL
 from .channel import CLOSED, RaiseEnvelope, deadline_of, remaining
 from .coexpression import CoExpression, coexpr_of
 from .deadline import Deadline, deadline_from
+from .pipe import StreamOwner
 from .scheduler import WorkerHandle
 
 #: How long a backpressured async worker sleeps before re-checking a
@@ -283,21 +287,6 @@ class AsyncChannel:
             self._cond.notify_all()
         return batch
 
-    async def feed_wire(self, kind: str, payload: Any = None) -> bool:
-        """Apply one wire envelope (the async pump hook); True on close."""
-        from .wire import WIRE_BEAT, WIRE_CLOSE, WIRE_DATA, WIRE_ERROR
-
-        if kind == WIRE_DATA:
-            await self.put_many(payload)
-        elif kind == WIRE_ERROR:
-            self.put_error(payload)
-        elif kind == WIRE_CLOSE:
-            self.close()
-            return True
-        elif kind != WIRE_BEAT:
-            raise ValueError(f"unknown wire envelope kind {kind!r}")
-        return False
-
     # -- inspection ----------------------------------------------------------
 
     @property
@@ -325,7 +314,7 @@ class AsyncChannel:
         )
 
 
-class AsyncPipe:
+class AsyncPipe(StreamOwner):
     """An async-native generator proxy: ``async for`` over a body.
 
     For code that already lives inside an event loop.  The producer
@@ -364,10 +353,6 @@ class AsyncPipe:
         self._errored = False
         self._pending: List[Any] = []
 
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.coexpr.name}", 0, value))
-
     def start(self) -> "AsyncPipe":
         """Spawn the producer task on the running loop (idempotent)."""
         if self._task is None and not self._cancelled:
@@ -388,16 +373,7 @@ class AsyncPipe:
         try:
             while not self._cancelled:
                 if deadline is not None and deadline.expired():
-                    self._emit(
-                        EventKind.DEADLINE_EXPIRED,
-                        {"where": "producer", "remaining": 0.0},
-                    )
-                    from ..errors import PipeDeadlineExceeded
-
-                    raise PipeDeadlineExceeded(
-                        f"pipe {coexpr.name!r}: deadline exceeded (producer)",
-                        where="producer",
-                    )
+                    raise self._deadline_error("producer")
                 value = coexpr.activate()
                 if value is FAIL:
                     break
@@ -418,24 +394,12 @@ class AsyncPipe:
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            self._errored = True
-            try:
-                if buffer:
+            if buffer:
+                with suppress(ChannelClosedError):
                     await out.put_many(buffer)  # data before the error
-                out.put_error(error)
-            except ChannelClosedError:
-                pass
+            self._fail(error)
         finally:
-            out.close()
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
-
-    def _cancel_upstream(self) -> None:
-        upstream = self.upstream
-        if upstream is not None:
-            canceller = getattr(upstream, "cancel", None)
-            if canceller is not None:
-                canceller()
+            self._finish()
 
     async def take(self, timeout: Any = None) -> Any:
         """The next result or :data:`FAIL` once exhausted."""
@@ -446,17 +410,9 @@ class AsyncPipe:
         deadline = self.deadline
         if deadline is not None:
             if deadline.expired():
-                self._emit(
-                    EventKind.DEADLINE_EXPIRED,
-                    {"where": "take", "remaining": 0.0},
-                )
-                from ..errors import PipeDeadlineExceeded
-
+                error = self._deadline_error("take")
                 self.cancel()
-                raise PipeDeadlineExceeded(
-                    f"pipe {self.coexpr.name!r}: deadline exceeded (take)",
-                    where="take",
-                )
+                raise error
             timeout = deadline.bound(timeout)
         self.start()
         try:
@@ -468,17 +424,9 @@ class AsyncPipe:
             if deadline is not None and deadline.expired():
                 # A deadline-bounded wait that timed out IS the expiry:
                 # active teardown, the deadline error, not a plain timeout.
-                from ..errors import PipeDeadlineExceeded
-
-                self._emit(
-                    EventKind.DEADLINE_EXPIRED,
-                    {"where": "take", "remaining": 0.0},
-                )
+                error = self._deadline_error("take")
                 self.cancel()
-                raise PipeDeadlineExceeded(
-                    f"pipe {self.coexpr.name!r}: deadline exceeded (take)",
-                    where="take",
-                ) from None
+                raise error from None
             raise
         if item is CLOSED:
             return FAIL
@@ -645,17 +593,12 @@ class AsyncWorker:
         except asyncio.CancelledError:
             pass  # killed (scheduler shutdown / pipe cancel): just exit
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            pipe._errored = True
-            try:
-                if buffer:
+            if buffer:
+                with suppress(ChannelClosedError):
                     await self._flush(buffer)  # data before the error
-                out.put_error(error)  # unthrottled: never blocks
-            except ChannelClosedError:
-                pass  # cancelled while reporting: consumer is gone
+            pipe._fail(error)
         finally:
-            out.close()
-            if pipe._cancelled or pipe._errored:
-                pipe._cancel_upstream()
+            pipe._finish()
             self.scheduler.untrack_session(self)
 
     # -- teardown --------------------------------------------------------------
@@ -721,13 +664,14 @@ def async_unsafe_reason(pipe: Any) -> str | None:
     return None
 
 
-def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | None:
-    """Run *pipe*'s body as a task on the shared event loop.
+def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | str:
+    """Run *pipe*'s body as a task on the shared event loop, or say why
+    it cannot run there.
 
     Returns a running :class:`AsyncWorker` (task scheduled, session
-    tracked by *scheduler*) — or None after emitting a ``DEGRADED``
-    monitor event when :func:`async_unsafe_reason` finds a blocking
-    dependency, in which case the caller falls back to the thread
+    tracked by *scheduler*) — or the reason :func:`async_unsafe_reason`
+    finds a blocking dependency, in which case
+    :meth:`~repro.coexpr.pipe.Pipe.start` falls back to the thread
     backend (the same contract as the process and remote hooks).
     Scheduler shutdown is **not** degradation: a submit racing shutdown
     propagates :class:`~repro.errors.SchedulerShutdownError`, exactly as
@@ -736,12 +680,7 @@ def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | None:
     """
     reason = async_unsafe_reason(pipe)
     if reason is not None:
-        pipe._degraded = reason
-        if lifecycle_enabled():
-            emit_lifecycle(
-                Event(EventKind.DEGRADED, f"pipe:{pipe.coexpr.name}", 0, reason)
-            )
-        return None
+        return reason
     worker = AsyncWorker(pipe, scheduler)
     scheduler.track_session(worker)  # raises after shutdown
     try:
@@ -749,13 +688,6 @@ def start_async_worker(pipe: Any, scheduler: Any) -> AsyncWorker | None:
     except BaseException:
         scheduler.untrack_session(worker)
         raise
-    if lifecycle_enabled():
-        emit_lifecycle(
-            Event(
-                EventKind.ASYNC_SESSION,
-                f"pipe:{pipe.coexpr.name}",
-                0,
-                {"transport": "loop", "name": pipe.coexpr.name},
-            )
-        )
+    name = pipe.coexpr.name
+    pipe._emit(EventKind.ASYNC_SESSION, {"transport": "loop", "name": name})
     return worker

@@ -264,26 +264,6 @@ class Channel:
             self._not_full.notify(len(batch))
         return batch
 
-    def feed_wire(self, kind: str, payload: Any = None) -> bool:
-        """Apply one wire envelope to this channel; the pump-thread hook.
-
-        Maps :data:`WIRE_DATA` to :meth:`put_many`, :data:`WIRE_ERROR`
-        to :meth:`put_error` (*payload* must already be an exception),
-        and :data:`WIRE_CLOSE` to :meth:`close`; :data:`WIRE_BEAT` is a
-        no-op (liveness is the transport's concern, not the queue's).
-        Returns True once the stream is complete (a close envelope).
-        """
-        if kind == WIRE_DATA:
-            self.put_many(payload)
-        elif kind == WIRE_ERROR:
-            self.put_error(payload)
-        elif kind == WIRE_CLOSE:
-            self.close()
-            return True
-        elif kind != WIRE_BEAT:
-            raise ValueError(f"unknown wire envelope kind {kind!r}")
-        return False
-
     def poll(self) -> Any:
         """Non-blocking take: an item, or :data:`CLOSED`, or None if empty."""
         with self._lock:

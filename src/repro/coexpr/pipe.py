@@ -23,19 +23,26 @@ builds on three hooks here:
   an ``upstream`` pipe so no producer is left blocked on a full channel;
 * lifecycle events (start/cancel/timeout) on the monitor bus.
 
-Crash isolation (:mod:`repro.coexpr.proc`) adds a second execution tier:
-``backend="process"`` runs the worker body in a ``multiprocessing``
-child speaking the same envelope protocol over IPC, with a heartbeat
-watchdog that surfaces :class:`~repro.errors.PipeWorkerLost` instead of
-hanging when the child dies, and graceful degradation back to this
-thread backend when the body cannot cross a process boundary.
+Three more execution tiers run the same body elsewhere behind this one
+surface: ``backend="process"`` in a ``multiprocessing`` child
+(:mod:`repro.coexpr.proc`, crash isolation), ``backend="remote"`` on a
+generator server (:mod:`repro.net.client`), and ``backend="async"`` as a
+task on a shared event loop (:mod:`repro.coexpr.aio`).  They share one
+contract, :data:`_TIERS`: :meth:`Pipe.start` calls the tier's start
+hook, which returns a running worker or the reason the body cannot run
+there — and then the pipe degrades to this thread backend with one
+``DEGRADED`` monitor event.  The process and remote pumps drive one
+sans-IO :class:`~repro.coexpr.wire.Receiver`, whose heartbeat watchdog
+surfaces a lost worker as an error instead of a hang.
 """
 
 from __future__ import annotations
 
+import importlib
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from typing import Any, Iterator, List
 
 from ..errors import (
@@ -54,8 +61,79 @@ from .scheduler import PipeScheduler, WorkerHandle, default_scheduler
 
 _UNSET = object()
 
+#: The tier contract: backend name -> (module, start hook) for every tier
+#: but "thread".  A hook takes ``(pipe, scheduler)`` and returns either a
+#: running worker — with ``handle`` (joinable, leak-checked) and
+#: ``terminate()`` (the cancel hook) — or a degrade reason string.
+_TIERS = {
+    "process": ("repro.coexpr.proc", "start_process_worker"),
+    "remote": ("repro.net.client", "start_remote_worker"),
+    "async": ("repro.coexpr.aio", "start_async_worker"),
+}
 
-class Pipe(IconIterator):
+
+def check_heartbeat(interval: float | None, timeout: float | None) -> float:
+    """Reject a non-positive watchdog setting (None = the default);
+    returns the interval between beats, 0.1 s by default."""
+    if interval is not None and interval <= 0:
+        raise ValueError("heartbeat_interval must be > 0 or None")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("heartbeat_timeout must be > 0 or None")
+    return interval if interval is not None else 0.1
+
+
+class StreamOwner:
+    """The producer-side epilogue every pipe flavour shares.
+
+    A worker body — whichever tier it runs on — ends through these: an
+    error goes to the consumer with :meth:`_fail`, and :meth:`_finish`
+    closes ``out`` and, when the stream was cancelled or errored,
+    cancels ``upstream`` so no producer above is left blocked on a full
+    channel.  Owners provide ``out``, ``upstream``, ``_cancelled`` and
+    ``_errored`` (and ``coexpr``, unless they override the lifecycle
+    events below).
+    """
+
+    __slots__ = ()
+
+    # -- lifecycle events ------------------------------------------------------
+
+    def _emit(self, kind: str, value: Any = None) -> None:
+        if lifecycle_enabled():
+            emit_lifecycle(Event(kind, f"pipe:{self.coexpr.name}", 0, value))
+
+    def _deadline_error(self, where: str) -> PipeDeadlineExceeded:
+        """Record the expiry and build the error to raise/deliver."""
+        self._emit(EventKind.DEADLINE_EXPIRED, {"where": where, "remaining": 0.0})
+        return PipeDeadlineExceeded(
+            f"pipe {self.coexpr.name!r}: deadline exceeded ({where})",
+            where=where,
+        )
+
+    # -- epilogue --------------------------------------------------------------
+
+    def _fail(self, error: BaseException) -> None:
+        """Deliver *error* to the consumer (unthrottled: never blocks on
+        a full queue) and mark the stream errored."""
+        self._errored = True
+        with suppress(ChannelClosedError):  # cancelled: consumer is gone
+            self.out.put_error(error)
+
+    def _finish(self) -> None:
+        self.out.close()
+        # A worker that died (error) or was cancelled abandons its
+        # upstream mid-stream; propagate so the producer chain above
+        # is not left blocked on a full channel.
+        if self._cancelled or self._errored:
+            self._cancel_upstream()
+
+    def _cancel_upstream(self) -> None:
+        canceller = getattr(self.upstream, "cancel", None)
+        if canceller is not None:
+            canceller()
+
+
+class Pipe(StreamOwner, IconIterator):
     """A generator proxy whose co-expression runs in a separate thread.
 
     The worker starts lazily on the first step (matching the paper's
@@ -85,9 +163,7 @@ class Pipe(IconIterator):
         "_start_lock",
         "_cancelled",
         "_worker",
-        "_process_worker",
-        "_remote_worker",
-        "_async_worker",
+        "_tier_worker",
         "_degraded",
         "_errored",
         "_pending",
@@ -177,7 +253,7 @@ class Pipe(IconIterator):
             raise ValueError("batch must be >= 1")
         if max_linger is not None and max_linger < 0:
             raise ValueError("max_linger must be >= 0 or None")
-        if backend not in ("thread", "process", "remote", "async"):
+        if backend != "thread" and backend not in _TIERS:
             raise ValueError(
                 "backend must be 'thread', 'process', 'remote', or 'async'"
             )
@@ -191,10 +267,7 @@ class Pipe(IconIterator):
             from ..net.cluster import normalize_remote_address
 
             remote_address = normalize_remote_address(remote_address)
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0 or None")
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be > 0 or None")
+        interval = check_heartbeat(heartbeat_interval, heartbeat_timeout)
         super().__init__()
         self.coexpr: CoExpression = coexpr_of(expr)
         self.capacity = capacity
@@ -206,12 +279,11 @@ class Pipe(IconIterator):
         self.batch = batch
         #: Seconds a partial batch may linger before being flushed.
         self.max_linger = max_linger
-        #: Execution tier: "thread" or "process" (see the class docstring).
+        #: Execution tier: "thread", "process", "remote" or "async" (see
+        #: the class docstring).
         self.backend = backend
-        #: Seconds between child liveness beats (process backend).
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else 0.1
-        )
+        #: Seconds between liveness beats (process and remote backends).
+        self.heartbeat_interval = interval
         #: Seconds of silence before the watchdog declares the worker
         #: lost (None = 10 heartbeat intervals).
         self.heartbeat_timeout = heartbeat_timeout
@@ -232,13 +304,9 @@ class Pipe(IconIterator):
         self._start_lock = threading.Lock()
         self._cancelled = False
         self._worker: WorkerHandle | None = None
-        #: The ProcessWorker when the process backend actually engaged.
-        self._process_worker: Any = None
-        #: The RemoteWorker when the remote backend actually engaged.
-        self._remote_worker: Any = None
-        #: The AsyncWorker when the async backend engaged.
-        self._async_worker: Any = None
-        #: Degradation reason when a process request fell back to threads.
+        #: The tier's worker when a non-thread backend actually engaged.
+        self._tier_worker: Any = None
+        #: Degradation reason when a tier request fell back to threads.
         self._degraded: str | None = None
         self._errored = False
         #: Consumer-side buffer of unbatched results (only the taking
@@ -257,29 +325,15 @@ class Pipe(IconIterator):
         self._buf_oldest = 0.0
         self._producer_done = False
 
-    # -- lifecycle events ------------------------------------------------------
-
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.coexpr.name}", 0, value))
-
-    def _deadline_error(self, where: str) -> PipeDeadlineExceeded:
-        """Record the expiry and build the error to raise/deliver."""
-        self._emit(EventKind.DEADLINE_EXPIRED, {"where": where, "remaining": 0.0})
-        return PipeDeadlineExceeded(
-            f"pipe {self.coexpr.name!r}: deadline exceeded ({where})",
-            where=where,
-        )
-
     # -- worker --------------------------------------------------------------
 
     def start(self) -> "Pipe":
         """Spawn the producer worker (idempotent; no-op once cancelled).
 
-        With ``backend="process"`` this forks the body into a child and
-        submits the pump/watchdog thread; if the body cannot cross the
-        process boundary the pipe degrades to the thread backend in
-        place (``DEGRADED`` monitor event, :attr:`degraded` set).
+        With another backend this calls the tier's start hook (forking a
+        child, dialing a server, or scheduling a loop task); if the body
+        cannot run on that tier the pipe degrades to the thread backend
+        in place (``DEGRADED`` monitor event, :attr:`degraded` set).
 
         An already-expired deadline short-circuits *before* any spawn —
         no child is forked and no socket is dialed past budget; the pipe
@@ -295,36 +349,18 @@ class Pipe(IconIterator):
                 return self
             self._started = True
         scheduler = self._scheduler or default_scheduler()
-        if self.backend == "process":
-            from .proc import start_process_worker
-
-            worker = start_process_worker(self, scheduler)
-            if worker is not None:
-                self._process_worker = worker
+        tier = _TIERS.get(self.backend)
+        if tier is not None:
+            module, hook = tier
+            worker = getattr(importlib.import_module(module), hook)(self, scheduler)
+            if not isinstance(worker, str):
+                self._tier_worker = worker
                 self._worker = worker.handle
                 self._emit(EventKind.START)
                 return self
             # Degraded: fall through to the thread backend below.
-        elif self.backend == "remote":
-            from ..net.client import start_remote_worker
-
-            worker = start_remote_worker(self, scheduler)
-            if worker is not None:
-                self._remote_worker = worker
-                self._worker = worker.handle
-                self._emit(EventKind.START)
-                return self
-            # Degraded: fall through to the thread backend below.
-        elif self.backend == "async":
-            from .aio import start_async_worker
-
-            worker = start_async_worker(self, scheduler)
-            if worker is not None:
-                self._async_worker = worker
-                self._worker = worker.handle
-                self._emit(EventKind.START)
-                return self
-            # Degraded: fall through to the thread backend below.
+            self._degraded = worker
+            self._emit(EventKind.DEGRADED, worker)
         self._worker = scheduler.submit(self._run, name=f"pipe-{self.coexpr.name}")
         if self._buf_cond is not None:
             self._flusher = scheduler.submit(
@@ -358,18 +394,9 @@ class Pipe(IconIterator):
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            self._errored = True
-            try:
-                out.put_error(error)  # unthrottled: never blocks on a full queue
-            except ChannelClosedError:
-                pass  # cancelled while reporting: consumer is gone
+            self._fail(error)
         finally:
-            out.close()
-            # A worker that died (error) or was cancelled abandons its
-            # upstream mid-stream; propagate so the producer chain above
-            # is not left blocked on a full channel.
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
+            self._finish()
 
     def _flush(self, buffer: List[Any]) -> None:
         """Move the coalesced *buffer* through the channel as one slice."""
@@ -389,7 +416,6 @@ class Pipe(IconIterator):
             return
         # Throughput mode (no linger bound): the buffer is worker-local,
         # so coalescing costs no locking at all until the flush.
-        out = self.out
         coexpr = self.coexpr
         batch = self.batch
         deadline = self.deadline
@@ -409,19 +435,14 @@ class Pipe(IconIterator):
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            self._errored = True
-            try:
-                # Results produced before the crash are delivered before
-                # the error — batching never reorders data past an error.
+            # Results produced before the crash are delivered before
+            # the error — batching never reorders data past an error.
+            with suppress(ChannelClosedError):
                 if buffer:
                     self._flush(buffer)
-                out.put_error(error)  # unthrottled: never blocks on a full queue
-            except ChannelClosedError:
-                pass  # cancelled while reporting: consumer is gone
+            self._fail(error)
         finally:
-            out.close()
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
+            self._finish()
 
     def _flush_locked(self) -> None:
         """Flush the shared linger buffer; caller holds ``_buf_cond``."""
@@ -430,7 +451,6 @@ class Pipe(IconIterator):
             self._flush(buffer)
 
     def _run_batched_linger(self) -> None:
-        out = self.out
         coexpr = self.coexpr
         batch = self.batch
         cond = self._buf_cond
@@ -452,24 +472,16 @@ class Pipe(IconIterator):
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         except Exception as error:  # noqa: BLE001 - forwarded to consumer
-            self._errored = True
-            try:
-                with cond:
-                    self._flush_locked()  # data first, then the error
-                out.put_error(error)
-            except ChannelClosedError:
-                pass  # cancelled while reporting: consumer is gone
+            with cond, suppress(ChannelClosedError):
+                self._flush_locked()  # data first, then the error
+            self._fail(error)
         finally:
             with cond:
                 self._producer_done = True
-                try:
+                with suppress(ChannelClosedError):
                     self._flush_locked()  # flush-on-exhaustion/close
-                except ChannelClosedError:
-                    pass
                 cond.notify_all()  # release the flusher
-            out.close()
-            if self._cancelled or self._errored:
-                self._cancel_upstream()
+            self._finish()
 
     def _run_flusher(self) -> None:
         """Deliver partial batches older than ``max_linger`` while the
@@ -492,14 +504,6 @@ class Pipe(IconIterator):
                     self._flush_locked()
                 except ChannelClosedError:
                     return  # consumer cancelled: nothing left to deliver
-
-    def _cancel_upstream(self) -> None:
-        upstream = self.upstream
-        if upstream is None:
-            return
-        canceller = getattr(upstream, "cancel", None)
-        if canceller is not None:
-            canceller()
 
     # -- consumer ------------------------------------------------------------
 
@@ -601,15 +605,11 @@ class Pipe(IconIterator):
             self._emit(EventKind.CANCEL)
             self.out.close()
             self.coexpr.close()
-            process_worker = self._process_worker
-            if process_worker is not None:
-                process_worker.terminate()  # the pump reaps and untracks
-            remote_worker = self._remote_worker
-            if remote_worker is not None:
-                remote_worker.terminate()  # sends cancel, closes the socket
-            async_worker = self._async_worker
-            if async_worker is not None:
-                async_worker.terminate()  # cancels the loop task
+            tier_worker = self._tier_worker
+            if tier_worker is not None:
+                # Kills the child, sends cancel and closes the socket, or
+                # cancels the loop task; the worker's own epilogue cleans up.
+                tier_worker.terminate()
             self._cancel_upstream()
         worker = self._worker
         if worker is None:

@@ -11,7 +11,11 @@ envelope protocol — batched data slices, error, close (the
 ``WIRE_*`` vocabulary of :mod:`repro.coexpr.channel`) — over an IPC
 connection.  A parent-side **pump thread** forwards envelopes into the
 pipe's ordinary :class:`~repro.coexpr.channel.Channel`, so consumers,
-batching, supervision, and monitoring all work unchanged.
+batching, supervision, and monitoring all work unchanged.  The pump is
+a thin loop around the sans-IO :class:`~repro.coexpr.wire.Receiver` the
+remote tier's pump uses too: the receiver judges each envelope and
+the heartbeat deadline; the pump does the IPC, watches the child's exit
+code, and delivers.
 
 Three behaviours distinguish the tier:
 
@@ -29,9 +33,10 @@ Three behaviours distinguish the tier:
   the snapshot/restart semantics of ``^c`` applied to a child process.
 * **Graceful degradation.**  When the platform cannot ship the body (an
   unpicklable stage under a spawn context, a channel-fed stage whose
-  upstream lives in the parent, a failed fork), the pipe falls back to
-  the thread backend and emits a ``DEGRADED`` monitor event rather than
-  erroring — same results, weaker isolation.
+  upstream lives in the parent, a failed fork), the start hook returns
+  the reason and the pipe falls back to the thread backend with a
+  ``DEGRADED`` monitor event rather than erroring — same results, weaker
+  isolation.
 
 Child processes are registered with the owning
 :class:`~repro.coexpr.scheduler.PipeScheduler`, so ``leaked()`` and
@@ -47,14 +52,16 @@ import time
 from typing import Any, Callable
 
 from ..errors import ChannelClosedError, PipeDeadlineExceeded, PipeWorkerLost
-from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
+from ..monitor.events import EventKind, lifecycle_enabled
 from .deadline import Deadline
 from .wire import (
+    _POLL_SLICE,
+    LOST,
     WIRE_BEAT,
     WIRE_CLOSE,
     WIRE_DATA,
     WIRE_ERROR,
-    decode_error,
+    Receiver,
     encode_error,
 )
 
@@ -64,12 +71,6 @@ KILLED_EXIT = 173
 
 #: Default seconds between child liveness beats.
 DEFAULT_HEARTBEAT_INTERVAL = 0.1
-
-#: With ``heartbeat_timeout=None`` the deadline is this many intervals.
-_TIMEOUT_INTERVALS = 10.0
-
-#: How often the pump re-checks cancellation while idle on the connection.
-_POLL_SLICE = 0.05
 
 #: Grace given to a terminated child before escalating to SIGKILL —
 #: SIGTERM cannot reap a SIGSTOP-ed (hung) child, SIGKILL always can.
@@ -278,27 +279,12 @@ class ProcessWorker:
     leak-checked exactly like a thread-backend worker.
     """
 
-    __slots__ = (
-        "pipe",
-        "scheduler",
-        "process",
-        "conn",
-        "heartbeat_timeout",
-        "handle",
-        "lost",
-    )
+    __slots__ = ("pipe", "scheduler", "process", "conn", "handle")
 
     def __init__(self, pipe: Any, scheduler: Any, ctx: Any) -> None:
-        interval = pipe.heartbeat_interval
-        timeout = pipe.heartbeat_timeout
-        if timeout is None:
-            timeout = max(_TIMEOUT_INTERVALS * interval, 1.0)
         self.pipe = pipe
         self.scheduler = scheduler
-        self.heartbeat_timeout = timeout
         self.handle = None
-        #: The loss reason once the watchdog fired (None while healthy).
-        self.lost: PipeWorkerLost | None = None
         coexpr = pipe.coexpr
         self.conn, child_conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
@@ -310,7 +296,7 @@ class ProcessWorker:
                 coexpr.name,
                 max(pipe.batch, 1),
                 pipe.max_linger,
-                interval,
+                pipe.heartbeat_interval,
                 None if pipe.deadline is None else pipe.deadline.remaining(),
             ),
             name=f"repro-proc-{coexpr.name}",
@@ -319,105 +305,73 @@ class ProcessWorker:
 
     # -- watchdog / pump -------------------------------------------------------
 
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.pipe.coexpr.name}", 0, value))
-
-    def _mark_lost(self, reason: str) -> None:
-        # An EOF can race the child's actual exit: give it a beat so the
-        # exit code is collectable (a still-running child — e.g. a missed
-        # heartbeat — just reports None).
-        self.process.join(0.2)
-        exitcode = self.process.exitcode
-        self.lost = PipeWorkerLost(
-            f"pipe {self.pipe.coexpr.name!r}: process worker lost ({reason})",
-            exitcode=exitcode,
-        )
-        self._emit(
-            EventKind.WORKER_LOST, {"reason": reason, "exitcode": exitcode}
-        )
-        self.pipe._errored = True
-        try:
-            self.pipe.out.put_error(self.lost)
-        except ChannelClosedError:
-            pass  # consumer cancelled while the child was dying
+    def _apply(self, verdict: tuple | None) -> None:
+        """Act on one receiver verdict (close and beat need nothing)."""
+        if verdict is None:
+            return
+        kind, value = verdict
+        if kind == WIRE_DATA:
+            self.pipe.out.put_many(value)
+        elif kind == WIRE_ERROR:
+            self.pipe._fail(value)
+        elif kind == LOST:
+            # An EOF can race the child's actual exit: give it a beat so
+            # the exit code is collectable (a still-running child — e.g.
+            # a missed heartbeat — just reports None).
+            self.process.join(0.2)
+            exitcode = self.process.exitcode
+            pipe = self.pipe
+            pipe._emit(EventKind.WORKER_LOST, {"reason": value, "exitcode": exitcode})
+            pipe._fail(
+                PipeWorkerLost(
+                    f"pipe {pipe.coexpr.name!r}: process worker lost ({value})",
+                    exitcode=exitcode,
+                )
+            )
 
     def pump(self) -> None:
         """Forward wire envelopes into the pipe's channel; watch liveness.
 
-        One loop is both transport and monitor: every received envelope
-        (beat or data) refreshes the heartbeat deadline; an expired
+        One loop is both transport and monitor: the receiver refreshes
+        the heartbeat deadline on every envelope (beat or data) and
+        judges it only when a poll comes back empty; an expired
         deadline, an EOF, or a dead child without a close envelope is a
         lost worker.  Pending OS-pipe data is drained before loss is
         declared, preserving data-before-error ordering end to end.
         """
         pipe = self.pipe
-        out = pipe.out
         conn = self.conn
-        deadline = time.monotonic() + self.heartbeat_timeout
-        closed = False
+        rx = Receiver(
+            pipe.heartbeat_interval, pipe.heartbeat_timeout, None, time.monotonic()
+        )
         try:
-            while not closed:
-                if pipe._cancelled:
-                    return
+            while not (rx.ended or pipe._cancelled):
                 try:
                     ready = conn.poll(_POLL_SLICE)
                 except (OSError, ValueError):
                     ready = False  # connection torn down under us
                 if ready:
                     try:
-                        kind, *payload = conn.recv()
+                        verdict = rx.feed(conn.recv(), time.monotonic())
                     except (EOFError, OSError):
-                        self._mark_lost("connection closed before end of stream")
-                        return
-                    if kind == WIRE_ERROR:
-                        pipe._errored = True
-                        closed = out.feed_wire(kind, decode_error(payload[0]))
-                    else:
-                        closed = out.feed_wire(
-                            kind, payload[0] if payload else None
-                        )
-                    deadline = time.monotonic() + self.heartbeat_timeout
-                    continue
-                if not self.process.is_alive():
+                        verdict = rx.lose("connection closed before end of stream")
+                elif not self.process.is_alive():
                     # The child may have exited cleanly with envelopes
                     # still buffered in the OS pipe: drain before judging.
-                    closed = self._drain()
-                    if not closed:
-                        self._mark_lost(
-                            f"child died, exit code {self.process.exitcode}"
-                        )
-                    return
-                if time.monotonic() >= deadline:
-                    self._mark_lost(
-                        f"no heartbeat within {self.heartbeat_timeout:.2f}s"
-                    )
-                    return
+                    try:
+                        while not rx.ended and conn.poll(0):
+                            self._apply(rx.feed(conn.recv(), time.monotonic()))
+                    except (EOFError, OSError):
+                        pass
+                    verdict = rx.lose(f"child died, exit code {self.process.exitcode}")
+                else:
+                    verdict = rx.timed_out(time.monotonic())
+                self._apply(verdict)
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         finally:
-            out.close()
+            pipe._finish()
             self._reap()
-            if pipe._cancelled or pipe._errored:
-                pipe._cancel_upstream()
-
-    def _drain(self) -> bool:
-        """Deliver every envelope still buffered after child death;
-        True if a close envelope completed the stream."""
-        out = self.pipe.out
-        while True:
-            try:
-                if not self.conn.poll(0):
-                    return False
-                kind, *payload = self.conn.recv()
-            except (EOFError, OSError):
-                return False
-            if kind == WIRE_ERROR:
-                self.pipe._errored = True
-                if out.feed_wire(kind, decode_error(payload[0])):
-                    return True
-            elif out.feed_wire(kind, payload[0] if payload else None):
-                return True
 
     # -- teardown --------------------------------------------------------------
 
@@ -451,12 +405,13 @@ class ProcessWorker:
         return self.handle is not None and self.handle.is_alive()
 
 
-def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | None:
-    """Spawn *pipe*'s body in a child process; None means *degrade*.
+def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | str:
+    """Spawn *pipe*'s body in a child process, or say why it cannot run
+    there.
 
     Returns a running :class:`ProcessWorker` (child started, pump
-    submitted, process tracked by *scheduler*) — or None after emitting a
-    ``DEGRADED`` monitor event, in which case the caller falls back to
+    submitted, process tracked by *scheduler*) — or the degrade reason,
+    in which case :meth:`~repro.coexpr.pipe.Pipe.start` falls back to
     the thread backend.  Scheduler shutdown is **not** degradation: a
     submit racing shutdown propagates
     :class:`~repro.errors.SchedulerShutdownError`, exactly as the thread
@@ -464,47 +419,24 @@ def start_process_worker(pipe: Any, scheduler: Any) -> ProcessWorker | None:
     """
     ctx = pipe.mp_context or default_context()
     reason = spawn_unsafe_reason(pipe, ctx)
-    if reason is None:
-        worker = ProcessWorker(pipe, scheduler, ctx)
-        scheduler.track_process(worker.process)  # raises after shutdown
-        try:
-            worker.process.start()
-        except OSError as error:
-            scheduler.untrack_process(worker.process)
-            reason = f"process spawn failed: {error!r}"
-        else:
-            try:
-                worker.handle = scheduler.submit(
-                    worker.pump, name=f"pump-{pipe.coexpr.name}"
-                )
-            except BaseException:
-                worker._reap()
-                raise
-            if lifecycle_enabled():
-                emit_lifecycle(
-                    Event(
-                        EventKind.SPAWN,
-                        f"pipe:{pipe.coexpr.name}",
-                        0,
-                        {"pid": worker.process.pid},
-                    )
-                )
-                if pipe.deadline is not None:
-                    emit_lifecycle(
-                        Event(
-                            EventKind.DEADLINE_PROPAGATED,
-                            f"pipe:{pipe.coexpr.name}",
-                            0,
-                            {
-                                "remaining": pipe.deadline.remaining(),
-                                "transport": "process",
-                            },
-                        )
-                    )
-            return worker
-    pipe._degraded = reason
-    if lifecycle_enabled():
-        emit_lifecycle(
-            Event(EventKind.DEGRADED, f"pipe:{pipe.coexpr.name}", 0, reason)
+    if reason is not None:
+        return reason
+    worker = ProcessWorker(pipe, scheduler, ctx)
+    scheduler.track_process(worker.process)  # raises after shutdown
+    try:
+        worker.process.start()
+    except OSError as error:
+        scheduler.untrack_process(worker.process)
+        return f"process spawn failed: {error!r}"
+    try:
+        worker.handle = scheduler.submit(worker.pump, name=f"pump-{pipe.coexpr.name}")
+    except BaseException:
+        worker._reap()
+        raise
+    pipe._emit(EventKind.SPAWN, {"pid": worker.process.pid})
+    if pipe.deadline is not None and lifecycle_enabled():
+        pipe._emit(
+            EventKind.DEADLINE_PROPAGATED,
+            {"remaining": pipe.deadline.remaining(), "transport": "process"},
         )
-    return None
+    return worker

@@ -14,6 +14,12 @@ definition of that vocabulary plus the two codecs every transport needs:
   socket, timeout-safe (a read that times out mid-frame keeps its
   partial bytes and resumes cleanly).
 
+It also holds the consumer half of the protocol, :class:`Receiver`: the
+sans-IO state (heartbeat deadline, envelope verdicts, credit window,
+one terminal verdict per session) that the process pump and the remote
+pump both drive — the client-side counterpart of the servers'
+:class:`~repro.net.session.SessionCore`.
+
 Envelope ordering is the transport invariant every tier pins with tests:
 data slices arrive in production order, an error never overtakes the
 data produced before it, and a close terminates the stream.
@@ -347,3 +353,114 @@ class SocketFramer:
             self.sock.close()
         except OSError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The receive side of a session.
+# ---------------------------------------------------------------------------
+
+#: With ``heartbeat_timeout=None`` the deadline is this many intervals.
+_TIMEOUT_INTERVALS = 10.0
+
+#: How often a pump re-checks cancellation while idle on its transport —
+#: bounds cancel/watchdog latency, not throughput.
+_POLL_SLICE = 0.05
+
+#: Verdict kind of a lost session; its value is the reason string.
+LOST = "lost"
+
+
+class Receiver:
+    """The protocol state of one stream's receiving end, clocked by its
+    caller (sans-IO, like :class:`~repro.net.session.SessionCore`).
+
+    A pump receives an envelope and asks :meth:`feed` for a verdict
+    ``(kind, value)``: ``(WIRE_DATA, slice)``, ``(WIRE_ERROR, exception)``,
+    ``(WIRE_CLOSE, None)``, ``(WIRE_BUSY, retry_after)``, ``(WIRE_BEAT,
+    None)`` (nothing to deliver) or ``(LOST, reason)``.  Close, busy and
+    lost are terminal: a session gets exactly one, and every call after
+    it answers None — so two witnesses of one loss (a dialer that
+    injected a drop, then the pump seeing the closed socket) report it
+    once.
+
+    Liveness: every envelope refreshes the heartbeat deadline, and the
+    deadline is checked only by :meth:`timed_out`, when a receive timed
+    out — a pump that sat blocked delivering to a slow consumer finds
+    the peer's buffered beats waiting and never reports a false loss.
+
+    Credit: :meth:`delivered` counts items handed to the consumer and
+    answers the grant to send back once half the window (rounded up) has
+    drained; a peer's ``WIRE_CREDIT`` quota announcement clamps the
+    window.  ``window=None`` (an unbounded channel) never grants.
+    """
+
+    __slots__ = ("timeout", "window", "owed", "expires", "ended")
+
+    def __init__(
+        self, interval: float, timeout: float | None, window: int | None, now: float
+    ) -> None:
+        if timeout is None:
+            timeout = max(_TIMEOUT_INTERVALS * interval, 1.0)
+        #: Seconds of silence after which the peer is lost.
+        self.timeout = timeout
+        #: Credit window: the consumer channel's capacity (None = unbounded).
+        self.window = window
+        #: Items delivered but not yet granted back.
+        self.owed = 0
+        #: When the peer is lost unless an envelope arrives first.
+        self.expires = now + timeout
+        #: True once the session's terminal verdict was issued.
+        self.ended = False
+
+    def feed(self, envelope: tuple, now: float) -> tuple | None:
+        """The verdict for one received *envelope* (None after the end)."""
+        if self.ended:
+            return None
+        self.expires = now + self.timeout
+        kind = envelope[0]
+        if kind == WIRE_DATA and len(envelope) == 2:
+            return envelope
+        if kind == WIRE_BEAT:
+            return (WIRE_BEAT, None)
+        if kind == WIRE_ERROR and len(envelope) == 2:
+            return (WIRE_ERROR, decode_error(envelope[1]))
+        if kind == WIRE_CLOSE:
+            self.ended = True
+            return (WIRE_CLOSE, None)
+        value = envelope[1] if len(envelope) > 1 else None
+        if kind == WIRE_BUSY:
+            self.ended = True
+            return (WIRE_BUSY, float(value or 0.0))
+        if kind == WIRE_CREDIT:
+            # The server's one-time quota announcement: never wait on
+            # more owed credit than it will let out.
+            if type(value) is not int or value < 1:
+                return self.lose("protocol violation: bad credit announcement")
+            if self.window is not None:
+                self.window = min(self.window, value)
+            return (WIRE_BEAT, None)
+        return self.lose(f"protocol violation: {kind!r} envelope")
+
+    def timed_out(self, now: float) -> tuple | None:
+        """A receive timed out at *now*: the loss verdict once the
+        heartbeat deadline has passed, else None.  Never refreshes it."""
+        if now >= self.expires:
+            return self.lose(f"no heartbeat within {self.timeout:.2f}s")
+        return None
+
+    def delivered(self, count: int) -> int | None:
+        """Count *count* items handed to the consumer; the credit to
+        grant back now (at half-drain), else None."""
+        self.owed += count
+        window = self.window
+        if window is not None and self.owed >= (window + 1) // 2:
+            grant, self.owed = self.owed, 0
+            return grant
+        return None
+
+    def lose(self, reason: str) -> tuple | None:
+        """The loss verdict for *reason*, unless the session already ended."""
+        if self.ended:
+            return None
+        self.ended = True
+        return (LOST, reason)

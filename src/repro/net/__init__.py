@@ -61,7 +61,6 @@ from .client import (
     RemotePipe,
     breaker_for,
     drain_address,
-    remote_unsafe_reason,
     reset_breakers,
     start_remote_worker,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "membership_source",
     "normalize_remote_address",
     "probe_address",
-    "remote_unsafe_reason",
     "reset_breakers",
     "reset_shared_health",
     "shared_health",

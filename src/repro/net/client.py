@@ -10,11 +10,14 @@ Two entry points share one transport:
   proxy over a factory the *server* registered by name, for bodies that
   only exist on the far side.
 
-The pump thread is transport and monitor in one loop, exactly like the
-process tier's: every received envelope refreshes the heartbeat
+The pump thread is transport and monitor in one loop, kept thin by
+the same sans-IO :class:`~repro.coexpr.wire.Receiver` the process
+tier's pump uses: every received envelope refreshes the heartbeat
 deadline; expiry, an EOF, or a torn frame surfaces as
 :class:`~repro.errors.PipeConnectionLost` through the channel (after
 draining any data received first — the data-before-error invariant).
+The pump keeps what is remote-specific: chaos ticks, eager drains
+(:func:`drain_address`), and the breaker and pool notes of a loss.
 
 Flow control is credit-based: the client grants credit equal to its
 channel capacity up front (None = unlimited for an unbounded channel)
@@ -32,8 +35,10 @@ half-window threshold never waits on credit the server will not use.
 
 Degradation mirrors :mod:`repro.coexpr.proc`: a body that cannot leave
 the process (:func:`~repro.coexpr.proc.body_portability_reason`), a
-body that does not pickle, or a server that cannot be reached all fall
-back to the thread backend with a ``DEGRADED`` monitor event.
+body that does not pickle, or a server that cannot be reached make the
+start hook return the reason, and the pipe falls back to the thread
+backend with a ``DEGRADED`` monitor event.  The body is pickled once:
+the bytes that prove it portable are the bytes the request ships.
 
 A per-address :class:`CircuitBreaker` sits in front of every dial:
 consecutive ``WIRE_BUSY`` sheds and connection losses trip it open, and
@@ -53,10 +58,12 @@ from typing import Any, Iterator
 
 from ..coexpr.channel import CLOSED, Channel
 from ..coexpr.deadline import deadline_from
+from ..coexpr.pipe import StreamOwner, check_heartbeat
 from ..coexpr.proc import body_portability_reason
 from ..coexpr.scheduler import PipeScheduler, default_scheduler
 from ..coexpr.wire import (
-    WIRE_BEAT,
+    _POLL_SLICE,
+    LOST,
     WIRE_BUSY,
     WIRE_CALL,
     WIRE_CANCEL,
@@ -67,8 +74,8 @@ from ..coexpr.wire import (
     WIRE_ERROR,
     WIRE_SPAWN,
     FrameError,
+    Receiver,
     SocketFramer,
-    decode_error,
 )
 from ..errors import (
     ChannelClosedError,
@@ -83,12 +90,8 @@ from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 
-#: Receive poll slice — bounds cancel/watchdog latency, not throughput.
-_POLL_SLICE = 0.05
 #: TCP connect timeout before degrading (or failing a RemotePipe).
 _CONNECT_TIMEOUT = 5.0
-#: Watchdog default: this many silent heartbeat intervals = a dead session.
-_TIMEOUT_INTERVALS = 10
 
 #: Consecutive failures (sheds or connection losses) that trip a breaker.
 _BREAKER_THRESHOLD = 3
@@ -221,24 +224,6 @@ def reset_breakers() -> None:
     reset_shared_health()
 
 
-def remote_unsafe_reason(pipe: Any) -> str | None:
-    """Why *pipe*'s body cannot be shipped to a server (None = it can).
-
-    The shared portability rules plus the network-tier specific one: the
-    ``(factory, env)`` payload must *always* pickle — unlike a forked
-    child, the server never shares memory with the client.
-    """
-    reason = body_portability_reason(pipe)
-    if reason is not None:
-        return reason
-    coexpr = pipe.coexpr
-    try:
-        pickle.dumps((coexpr._factory, coexpr._env))
-    except Exception as error:  # noqa: BLE001 - any pickle failure degrades
-        return f"body not picklable for remote execution: {error!r}"
-    return None
-
-
 #: In-flight workers indexed by server address, so a membership tier's
 #: death verdict can wake their watchdogs *now* — see :func:`drain_address`.
 _live_lock = threading.Lock()
@@ -266,7 +251,8 @@ def drain_address(address: Any, reason: str) -> int:
     a replica dead (:meth:`~repro.net.cluster.ServerPool.mark_down`)
     already *knows* the streams on it are doomed — without this, each
     one still blocks out its own heartbeat watchdog (up to
-    ``_TIMEOUT_INTERVALS`` silent intervals) before failing over.
+    :data:`~repro.coexpr.wire._TIMEOUT_INTERVALS` silent intervals)
+    before failing over.
     Closing the framer under the pump's blocked receive surfaces an
     ``OSError`` within one ``_POLL_SLICE``; the stashed *reason* makes
     the loss verdict say "probe declared the server dead" rather than
@@ -298,10 +284,8 @@ class RemoteWorker:
         "address",
         "name",
         "request",
-        "window",
-        "heartbeat_timeout",
+        "receiver",
         "handle",
-        "lost",
         "pool",
         "route_key",
         "chaos",
@@ -318,22 +302,19 @@ class RemoteWorker:
         name: str,
         request: tuple,
     ) -> None:
-        interval = owner.heartbeat_interval
-        timeout = owner.heartbeat_timeout
-        if timeout is None:
-            timeout = max(_TIMEOUT_INTERVALS * interval, 1.0)
         self.owner = owner
         self.scheduler = scheduler
         self.framer = SocketFramer(sock)
         self.address = address
         self.name = name
         self.request = request
-        #: Credit window: the channel capacity (None = unbounded).
-        self.window: int | None = owner.capacity or None
-        self.heartbeat_timeout = timeout
+        #: The stream's protocol state; its credit window starts at the
+        #: channel capacity (None = unbounded).
+        window = owner.capacity or None
+        self.receiver = Receiver(
+            owner.heartbeat_interval, owner.heartbeat_timeout, window, time.monotonic()
+        )
         self.handle: Any = None
-        #: The loss verdict once the watchdog fired (None while healthy).
-        self.lost: PipeConnectionLost | None = None
         #: Cluster routing, when this session was dialed through a
         #: :class:`~repro.net.cluster.ServerPool`: the pool hears about
         #: losses/health (suspicion, failover accounting) keyed by
@@ -343,9 +324,9 @@ class RemoteWorker:
         self.route_key: Any = None
         self.chaos: Any = None
         #: The drain verdict when a health prober declared this worker's
-        #: server dead (:func:`drain_address`): the pump reports *this*
-        #: reason instead of the bare transport error the forced close
-        #: produced.
+        #: server dead (:func:`drain_address`): a loss reports *this*
+        #: reason instead of the bare transport error (or silence) the
+        #: forced close produced.
         self.drained: str | None = None
         #: True once the stream proved the server healthy (first data /
         #: error / close envelope) and the breaker heard about it.
@@ -364,7 +345,7 @@ class RemoteWorker:
         owner carries one) the deadline budget — remaining seconds, the
         only form that survives a clock boundary."""
         self.framer.send(self.request)
-        self.framer.send((WIRE_CREDIT, self.window))
+        self.framer.send((WIRE_CREDIT, self.receiver.window))
         deadline = getattr(self.owner, "deadline", None)
         if deadline is not None:
             remaining = deadline.remaining()
@@ -377,51 +358,73 @@ class RemoteWorker:
 
     # -- pump / watchdog -------------------------------------------------------
 
-    def _mark_lost(self, reason: str) -> None:
-        if self.lost is not None:
-            # One session, one loss.  A dialer that injected a drop has
-            # reported it already, and the pump then sees the socket it
-            # closed: counting both would trip the breaker early.
-            return
-        self.lost = PipeConnectionLost(
-            f"pipe {self.name!r}: remote session lost ({reason})",
-            address=self.address,
-            reason=reason,
-        )
-        breaker_for(self.address).record_failure()
-        if self.pool is not None:
-            self.pool.note_lost(self.route_key, self.address, reason)
-        self._emit(
-            EventKind.NET_LOST, {"reason": reason, "address": self.address}
-        )
-        self.owner._errored = True
-        try:
-            self.owner.out.put_error(self.lost)
-        except ChannelClosedError:
-            pass  # consumer cancelled while the session was dying
+    def lose(self, reason: str) -> None:
+        """End the session as lost for *reason* (once per session)."""
+        self._apply(self.receiver.lose(reason))
 
-    def _mark_busy(self, retry_after: float) -> None:
-        """The server shed us (``WIRE_BUSY``): a retryable loss that
-        feeds the breaker its ``retry_after`` hint."""
+    def _apply(self, verdict: tuple | None) -> None:
+        """Act on one receiver verdict."""
+        if verdict is None:
+            return
+        kind, value = verdict
+        owner = self.owner
+        if kind == WIRE_DATA:
+            self._mark_healthy()
+            owner.out.put_many(value)
+            if self.chaos is not None:
+                # Deterministic chaos: tick the armed fault plan once per
+                # delivered item.  drop_connection rules raise here;
+                # kill_server rules fire silently and the fault arrives
+                # through the socket like a real crash.
+                try:
+                    for item in value:
+                        self.chaos.on_item(item)
+                except InjectedDisconnect:
+                    self.lose("injected connection drop")
+                    return
+            grant = self.receiver.delivered(len(value))
+            if grant is not None:
+                try:
+                    # Replenish only after delivery, and only at
+                    # half-drain: bounds what the server may have in
+                    # flight to ~2 windows, in few frames.
+                    self.framer.send((WIRE_CREDIT, grant))
+                except (OSError, EOFError) as error:
+                    if not owner._cancelled:
+                        self.lose(f"transport error: {error!r}")
+        elif kind == WIRE_ERROR:
+            self._mark_healthy()  # the *server* worked; the body crashed
+            owner._fail(value)
+        elif kind == WIRE_CLOSE:
+            self._mark_healthy()
+        elif kind == LOST or kind == WIRE_BUSY:
+            self._report_loss(kind, value)
+
+    def _report_loss(self, kind: str, value: Any) -> None:
+        """The session's one loss: the breaker, the pool and the monitor
+        hear of it, and the consumer gets the error.  A ``WIRE_BUSY``
+        shed is a retryable loss that feeds the breaker its
+        ``retry_after`` hint."""
+        if kind == WIRE_BUSY:
+            retry_after, reason = value, "server at capacity"
+            error: PipeError = PipeServerBusy(
+                f"pipe {self.name!r}: server at {self.address!r} shed the "
+                f"connection (retry after {retry_after:.2f}s)",
+                address=self.address,
+                retry_after=retry_after,
+            )
+        else:
+            retry_after, reason = None, self.drained or value
+            error = PipeConnectionLost(
+                f"pipe {self.name!r}: remote session lost ({reason})",
+                address=self.address,
+                reason=reason,
+            )
         breaker_for(self.address).record_failure(retry_after)
         if self.pool is not None:
-            self.pool.note_lost(self.route_key, self.address, "server at capacity")
-        busy = PipeServerBusy(
-            f"pipe {self.name!r}: server at {self.address!r} shed the "
-            f"connection (retry after {retry_after:.2f}s)",
-            address=self.address,
-            retry_after=retry_after,
-        )
-        self.lost = busy
-        self._emit(
-            EventKind.NET_LOST,
-            {"reason": "server at capacity", "address": self.address},
-        )
-        self.owner._errored = True
-        try:
-            self.owner.out.put_error(busy)
-        except ChannelClosedError:
-            pass  # consumer cancelled while being shed
+            self.pool.note_lost(self.route_key, self.address, reason)
+        self._emit(EventKind.NET_LOST, {"reason": reason, "address": self.address})
+        self.owner._fail(error)
 
     def _mark_healthy(self) -> None:
         # First substantive envelope: the server accepted and ran the
@@ -436,111 +439,36 @@ class RemoteWorker:
     def pump(self) -> None:
         """Forward wire envelopes into the owner's channel; watch liveness.
 
-        The deadline is only *checked* when a receive times out and
-        refreshed by every envelope — so a pump that spent seconds
-        blocked in ``put_many`` (slow consumer) finds the server's
-        buffered beats waiting and never false-positives.
+        The receiver checks the heartbeat deadline only when a receive
+        times out, and every envelope refreshes it — so a pump that
+        spent seconds blocked in ``put_many`` (slow consumer) finds the
+        server's buffered beats waiting and never false-positives.
         """
         owner = self.owner
-        out = owner.out
-        deadline = time.monotonic() + self.heartbeat_timeout
-        closed = False
-        owed = 0  # items delivered but not yet granted back
+        rx = self.receiver
         _register_live(self)
         try:
-            while not closed:
-                if owner._cancelled:
-                    return
+            while not (rx.ended or owner._cancelled):
                 try:
-                    envelope = self.framer.recv()
+                    verdict = rx.feed(self.framer.recv(), time.monotonic())
                 except (socket.timeout, TimeoutError):
-                    if time.monotonic() >= deadline:
-                        self._mark_lost(
-                            self.drained
-                            or f"no heartbeat within "
-                            f"{self.heartbeat_timeout:.2f}s"
-                        )
-                        return
-                    continue
+                    verdict = rx.timed_out(time.monotonic())
                 except (EOFError, FrameError, OSError) as error:
                     if owner._cancelled:
                         return
-                    self._mark_lost(
-                        self.drained
-                        or (
-                            "connection closed before end of stream"
-                            if isinstance(error, (EOFError, FrameError))
-                            else f"transport error: {error!r}"
-                        )
+                    verdict = rx.lose(
+                        "connection closed before end of stream"
+                        if isinstance(error, (EOFError, FrameError))
+                        else f"transport error: {error!r}"
                     )
-                    return
-                deadline = time.monotonic() + self.heartbeat_timeout
-                kind = envelope[0]
-                if kind == WIRE_DATA:
-                    self._mark_healthy()
-                    slice_ = envelope[1]
-                    out.put_many(slice_)
-                    if self.chaos is not None:
-                        # Deterministic chaos: tick the armed fault plan
-                        # once per delivered item.  drop_connection rules
-                        # raise here; kill_server rules fire silently and
-                        # the fault arrives through the socket like a
-                        # real crash.
-                        try:
-                            for item in slice_:
-                                self.chaos.on_item(item)
-                        except InjectedDisconnect:
-                            self._mark_lost("injected connection drop")
-                            return
-                    owed += len(slice_)
-                    if self.window is not None and owed >= (self.window + 1) // 2:
-                        try:
-                            # Replenish only after delivery, and only at
-                            # half-drain: bounds what the server may have
-                            # in flight to ~2 windows, in few frames.
-                            self.framer.send((WIRE_CREDIT, owed))
-                            owed = 0
-                        except (OSError, EOFError) as error:
-                            if owner._cancelled:
-                                return
-                            self._mark_lost(
-                                self.drained or f"transport error: {error!r}"
-                            )
-                            return
-                elif kind == WIRE_ERROR:
-                    self._mark_healthy()  # the *server* worked; the body crashed
-                    owner._errored = True
-                    closed = out.feed_wire(kind, decode_error(envelope[1]))
-                elif kind == WIRE_CLOSE:
-                    self._mark_healthy()
-                    closed = True
-                elif kind == WIRE_BUSY:
-                    retry_after = envelope[1] if len(envelope) > 1 else 0.0
-                    self._mark_busy(float(retry_after))
-                    return
-                elif kind == WIRE_CREDIT:
-                    # The server's one-time quota announcement: never
-                    # wait on more owed credit than it will let out.
-                    quota = envelope[1] if len(envelope) > 1 else None
-                    if type(quota) is not int or quota < 1:
-                        self._mark_lost(
-                            "protocol violation: bad credit announcement"
-                        )
-                        return
-                    if self.window is not None:
-                        self.window = min(self.window, quota)
-                elif kind != WIRE_BEAT:
-                    self._mark_lost(f"protocol violation: {kind!r} envelope")
-                    return
+                self._apply(verdict)
         except ChannelClosedError:
             pass  # the consumer cancelled the pipe; just exit
         finally:
             _unregister_live(self)
-            out.close()
+            owner._finish()
             self.framer.close()
             self.scheduler.untrack_session(self)
-            if owner._cancelled or owner._errored:
-                owner._cancel_upstream()
 
     # -- teardown --------------------------------------------------------------
 
@@ -660,7 +588,7 @@ def _dial_pooled(
             # A drop-at-connect rule: the session opened, then "died"
             # before any data.  The error is already in the channel;
             # return the worker so the owner tears it down normally.
-            worker._mark_lost("injected connection drop")
+            worker.lose("injected connection drop")
             worker.terminate()
         return worker
     suffix = f" (last error: {last_error!r})" if last_error is not None else ""
@@ -671,74 +599,73 @@ def _dial_pooled(
     )
 
 
-def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | None:
-    """Ship *pipe*'s body to its generator server; None means *degrade*.
+def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
+    """Ship *pipe*'s body to its generator server, or say why it cannot
+    run there.
 
     Returns a running :class:`RemoteWorker` (connected, request sent,
-    pump submitted, session tracked by *scheduler*) — or None after
-    emitting a ``DEGRADED`` monitor event, in which case the caller
-    falls back to the thread backend.  Scheduler shutdown is **not**
+    pump submitted, session tracked by *scheduler*) — or the degrade
+    reason, in which case :meth:`~repro.coexpr.pipe.Pipe.start` falls
+    back to the thread backend.  Scheduler shutdown is **not**
     degradation: it propagates
     :class:`~repro.errors.SchedulerShutdownError` exactly as the other
     backends do.
+
+    The body must leave the process
+    (:func:`~repro.coexpr.proc.body_portability_reason`) and must
+    *always* pickle — unlike a forked child, the server never shares
+    memory with the client.  It is pickled once, straight into the
+    ``WIRE_SPAWN`` request.
 
     An open :class:`CircuitBreaker` for the target address degrades
     *without dialing* — while the server is shedding (or down), remote
     requests run on the thread tier instead of feeding a reconnect
     storm; the breaker's half-open probe decides when to go back.
     """
-    reason = remote_unsafe_reason(pipe)
-    if reason is None:
-        address = pipe.remote_address
-        pooled = hasattr(address, "dial_candidates")
-        breaker = None if pooled else breaker_for(address)
-        if breaker is not None and not breaker.allow():
-            reason = (
-                f"circuit breaker open for {address!r} "
-                f"(probe in {breaker.remaining():.2f}s)"
-            )
-        else:
-            coexpr = pipe.coexpr
-            request = (
-                WIRE_SPAWN,
-                {
-                    "body": pickle.dumps(
-                        (coexpr._factory, coexpr._env),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ),
-                    "name": coexpr.name,
-                    "batch": max(pipe.batch, 1),
-                    "max_linger": pipe.max_linger,
-                    "heartbeat_interval": pipe.heartbeat_interval,
-                },
-            )
-            if pooled:
-                # Cluster tier: per-replica breakers are consulted
-                # inside the candidate walk; only a fleet-wide refusal
-                # degrades (replica -> next replica -> threads).
-                try:
-                    return _dial_pooled(
-                        pipe, scheduler, address, coexpr.name, request
-                    )
-                except PipeConnectionLost as error:
-                    reason = str(error)
-            else:
-                try:
-                    return _connect_worker(
-                        pipe, scheduler, address, coexpr.name, request
-                    )
-                except (OSError, EOFError) as error:
-                    breaker.record_failure()
-                    reason = f"connect to {address!r} failed: {error!r}"
-    pipe._degraded = reason
-    if lifecycle_enabled():
-        emit_lifecycle(
-            Event(EventKind.DEGRADED, f"pipe:{pipe.coexpr.name}", 0, reason)
+    reason = body_portability_reason(pipe)
+    if reason is not None:
+        return reason
+    coexpr = pipe.coexpr
+    try:
+        body = pickle.dumps(
+            (coexpr._factory, coexpr._env), protocol=pickle.HIGHEST_PROTOCOL
         )
-    return None
+    except Exception as error:  # noqa: BLE001 - any pickle failure degrades
+        return f"body not picklable for remote execution: {error!r}"
+    address = pipe.remote_address
+    pooled = hasattr(address, "dial_candidates")
+    breaker = None if pooled else breaker_for(address)
+    if breaker is not None and not breaker.allow():
+        return (
+            f"circuit breaker open for {address!r} "
+            f"(probe in {breaker.remaining():.2f}s)"
+        )
+    request = (
+        WIRE_SPAWN,
+        {
+            "body": body,
+            "name": coexpr.name,
+            "batch": max(pipe.batch, 1),
+            "max_linger": pipe.max_linger,
+            "heartbeat_interval": pipe.heartbeat_interval,
+        },
+    )
+    if pooled:
+        # Cluster tier: per-replica breakers are consulted inside the
+        # candidate walk; only a fleet-wide refusal degrades (replica ->
+        # next replica -> threads).
+        try:
+            return _dial_pooled(pipe, scheduler, address, coexpr.name, request)
+        except PipeConnectionLost as error:
+            return str(error)
+    try:
+        return _connect_worker(pipe, scheduler, address, coexpr.name, request)
+    except (OSError, EOFError) as error:
+        breaker.record_failure()
+        return f"connect to {address!r} failed: {error!r}"
 
 
-class RemotePipe(IconIterator):
+class RemotePipe(StreamOwner, IconIterator):
     """A pipe over a factory the *server* registered by name.
 
     The consumer-facing twin of ``Pipe(..., backend="remote")`` for
@@ -788,6 +715,7 @@ class RemotePipe(IconIterator):
     ) -> None:
         if batch < 1:
             raise ValueError("batch must be >= 1")
+        interval = check_heartbeat(heartbeat_interval, heartbeat_timeout)
         super().__init__()
         from .cluster import normalize_remote_address
 
@@ -801,9 +729,7 @@ class RemotePipe(IconIterator):
         self.out = Channel(capacity)
         self.take_timeout = take_timeout
         self.batch = batch
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else 0.1
-        )
+        self.heartbeat_interval = interval
         self.heartbeat_timeout = heartbeat_timeout
         #: End-to-end budget; shipped to the server in the handshake.
         self.deadline = deadline_from(deadline)
@@ -824,13 +750,6 @@ class RemotePipe(IconIterator):
             f"remote pipe {self.factory_name!r}: deadline exceeded ({where})",
             where=where,
         )
-
-    def _cancel_upstream(self) -> None:
-        upstream = self.upstream
-        if upstream is not None:
-            canceller = getattr(upstream, "cancel", None)
-            if canceller is not None:
-                canceller()
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -235,7 +235,7 @@ def test_a_dropped_connect_counts_once_toward_the_breaker():
         assert pipe.degraded is None
         with pytest.raises(PipeConnectionLost, match="injected connection drop"):
             drain(pipe)
-        worker = pipe._remote_worker
+        worker = pipe._tier_worker
         assert worker.join(5.0)  # the pump has seen the closed socket
         assert breaker_for(server.address)._failures == 1
 

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.dataparallel import DataParallel
 from repro.coexpr.patterns import pipeline, source_pipe, stage
 from repro.coexpr.pipe import Pipe
@@ -24,8 +25,7 @@ from repro.coexpr.supervision import (
 )
 from repro.errors import PipeConnectionLost
 from repro.monitor import EventKind, Tracer
-from repro.net import GeneratorServer
-from repro.net.client import remote_unsafe_reason
+from repro.net import GeneratorServer, RemotePipe
 
 
 # Stage functions must be module-level: a remote body crosses the wire
@@ -62,6 +62,20 @@ def crash_on_seven(x):
     if x == 7:
         raise ValueError("x was seven")
     return x
+
+
+class CountsPickles:
+    """An environment value that counts how often it is pickled."""
+
+    reductions = 0
+
+    def __reduce__(self):
+        CountsPickles.reductions += 1
+        return (CountsPickles, ())
+
+
+def count_with(_token):
+    return iter(range(3))
 
 
 @pytest.fixture
@@ -210,8 +224,31 @@ class TestDegradation:
     def test_remote_unsafe_reason_accepts_module_level_bodies(self, server):
         good = source_pipe(
             range(3), backend="remote", remote_address=server.address
-        )
-        assert remote_unsafe_reason(good) is None
+        ).start()
+        assert good.degraded is None
+        assert list(good.iterate()) == [0, 1, 2]
+
+    def test_a_remote_start_pickles_the_body_once(self, server):
+        # The bytes that prove the body portable are the bytes the
+        # spawn request ships: no throwaway pickle first.
+        CountsPickles.reductions = 0
+        pipe = Pipe(
+            CoExpression(count_with, lambda: (CountsPickles(),), name="once"),
+            backend="remote",
+            remote_address=server.address,
+        ).start()
+        assert pipe.degraded is None
+        assert list(pipe.iterate()) == [0, 1, 2]
+        assert CountsPickles.reductions == 1
+
+    @pytest.mark.parametrize(
+        "knob", ["heartbeat_timeout", "heartbeat_interval"]
+    )
+    def test_remote_pipe_rejects_a_non_positive_heartbeat(self, knob):
+        # Pipe's own check: a zero timeout would declare the session
+        # lost at the first idle receive.
+        with pytest.raises(ValueError, match=knob):
+            RemotePipe(("127.0.0.1", 1), "f", **{knob: 0})
 
 
 class TestDataParallel:
