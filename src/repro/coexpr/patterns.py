@@ -54,6 +54,16 @@ def _remote_pipeline_body(source: Any, stages: tuple) -> Iterator[Any]:
         piped.cancel()
 
 
+def _whole_chain(source: Any, stages: tuple) -> CoExpression:
+    """The one co-expression a remote :func:`pipeline` (supervised or
+    not) ships for the whole chain, over :func:`_remote_pipeline_body`."""
+    return CoExpression(
+        _remote_pipeline_body,
+        lambda: (source, tuple(stages)),
+        name=f"pipeline[{len(stages)}]",
+    )
+
+
 def source_pipe(
     source: Any,
     capacity: int = 0,
@@ -184,23 +194,15 @@ def pipeline(
 
     ``deadline`` is normalized once and **shared** by the source and
     every stage — one end-to-end budget for the chain, not a fresh
-    clock per hop.  ``remote_address`` is normalized the same way: a
+    clock per hop.  A remote pipeline is always exactly one pipe, so a
     list of ``(host, port)`` pairs becomes **one**
-    :class:`~repro.net.cluster.ServerPool` shared by the whole chain,
-    so routing memory (suspicion, failover history) is chain-wide.
+    :class:`~repro.net.cluster.ServerPool` (normalized by :class:`Pipe`)
+    and routing memory (suspicion, failover history) is chain-wide.
     """
     deadline = deadline_from(deadline)
-    if backend == "remote" and remote_address is not None:
-        from ..net.cluster import normalize_remote_address
-
-        remote_address = normalize_remote_address(remote_address)
     if backend == "remote" and stages:
         return Pipe(
-            CoExpression(
-                _remote_pipeline_body,
-                lambda: (source, tuple(stages)),
-                name=f"pipeline[{len(stages)}]",
-            ),
+            _whole_chain(source, stages),
             capacity=capacity,
             scheduler=scheduler,
             take_timeout=take_timeout,

@@ -31,7 +31,10 @@ task on a shared event loop (:mod:`repro.coexpr.aio`).  They share one
 contract, :data:`_TIERS`: :meth:`Pipe.start` calls the tier's start
 hook, which returns a running worker or the reason the body cannot run
 there — and then the pipe degrades to this thread backend with one
-``DEGRADED`` monitor event.  The process and remote pumps drive one
+``DEGRADED`` monitor event.  :class:`~repro.net.client.RemotePipe` is
+this class over a body the server names, which never degrades (its
+hook raises instead).  :meth:`Pipe.refresh` is ``^p``, the restart
+supervision uses.  The process and remote pumps drive one
 sans-IO :class:`~repro.coexpr.wire.Receiver`, whose heartbeat watchdog
 surfaces a lost worker as an error instead of a hang.
 """
@@ -91,7 +94,9 @@ class StreamOwner:
     cancels ``upstream`` so no producer above is left blocked on a full
     channel.  Owners provide ``out``, ``upstream``, ``_cancelled`` and
     ``_errored`` (and ``coexpr``, unless they override the lifecycle
-    events below).
+    events below).  The owners are :class:`Pipe` — of every tier,
+    :class:`~repro.net.client.RemotePipe` included — and
+    :class:`~repro.coexpr.aio.AsyncPipe`.
     """
 
     __slots__ = ()
@@ -337,7 +342,10 @@ class Pipe(StreamOwner, IconIterator):
 
         An already-expired deadline short-circuits *before* any spawn —
         no child is forked and no socket is dialed past budget; the pipe
-        cancels itself and raises :class:`PipeDeadlineExceeded`.
+        cancels itself and raises :class:`PipeDeadlineExceeded`.  Any
+        other error from the spawn (a shut-down scheduler, a tier hook
+        that raises) un-starts the pipe, so every later step raises it
+        again.
         """
         deadline = self.deadline
         if deadline is not None and not self._started and deadline.expired():
@@ -348,24 +356,31 @@ class Pipe(StreamOwner, IconIterator):
             if self._started or self._cancelled:
                 return self
             self._started = True
-        scheduler = self._scheduler or default_scheduler()
-        tier = _TIERS.get(self.backend)
-        if tier is not None:
-            module, hook = tier
-            worker = getattr(importlib.import_module(module), hook)(self, scheduler)
-            if not isinstance(worker, str):
-                self._tier_worker = worker
-                self._worker = worker.handle
-                self._emit(EventKind.START)
-                return self
-            # Degraded: fall through to the thread backend below.
-            self._degraded = worker
-            self._emit(EventKind.DEGRADED, worker)
-        self._worker = scheduler.submit(self._run, name=f"pipe-{self.coexpr.name}")
-        if self._buf_cond is not None:
-            self._flusher = scheduler.submit(
-                self._run_flusher, name=f"linger-{self.coexpr.name}"
-            )
+        try:
+            scheduler = self._scheduler or default_scheduler()
+            tier = _TIERS.get(self.backend)
+            if tier is not None:
+                module, hook = tier
+                worker = getattr(importlib.import_module(module), hook)(self, scheduler)
+                if not isinstance(worker, str):
+                    self._tier_worker = worker
+                    self._worker = worker.handle
+                    self._emit(EventKind.START)
+                    return self
+                # Degraded: fall through to the thread backend below.
+                self._degraded = worker
+                self._emit(EventKind.DEGRADED, worker)
+            self._worker = scheduler.submit(self._run, name=f"pipe-{self.coexpr.name}")
+            if self._buf_cond is not None:
+                self._flusher = scheduler.submit(
+                    self._run_flusher, name=f"linger-{self.coexpr.name}"
+                )
+        except BaseException:
+            # Un-start: with _started left set, the next step would skip
+            # the start and block forever on a channel nothing will ever
+            # feed or close — it must retry the start and raise again.
+            self._started = False
+            raise
         self._emit(EventKind.START)
         return self
 
@@ -623,8 +638,13 @@ class Pipe(StreamOwner, IconIterator):
         return self._cancelled
 
     def refresh(self) -> "Pipe":
-        """``^p`` — a new pipe over a refreshed copy of the co-expression."""
-        return Pipe(
+        """``^p`` — a new pipe (of the same class) over a refreshed copy
+        of the co-expression, with the same knobs, the same shared
+        :class:`~repro.coexpr.deadline.Deadline` and the same normalized
+        ``remote_address`` (one routing memory across restarts)."""
+        fresh = Pipe.__new__(type(self))
+        Pipe.__init__(
+            fresh,
             self.coexpr.refresh(),
             self.capacity,
             self._scheduler,
@@ -638,6 +658,7 @@ class Pipe(StreamOwner, IconIterator):
             remote_address=self.remote_address,
             deadline=self.deadline,  # the same budget: a refresh is not a reset
         )
+        return fresh
 
     @property
     def batch_stats(self) -> dict:
@@ -674,4 +695,7 @@ class Pipe(StreamOwner, IconIterator):
             if self._cancelled
             else ("running" if self._started else "unstarted")
         )
-        return f"Pipe({self.coexpr.name}, {state}, queued={len(self.out)})"
+        return (
+            f"{type(self).__name__}({self.coexpr.name}, {state}, "
+            f"queued={len(self.out)})"
+        )

@@ -63,7 +63,7 @@ from ..errors import (
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
-from .coexpression import CoExpression, coexpr_of
+from .coexpression import CoExpression
 from .dataparallel import apply_mapped, iter_source
 from .deadline import deadline_from
 from .pipe import Pipe
@@ -452,10 +452,11 @@ class SupervisedPipe(IconIterator):
     """A pipe with a restart budget.
 
     Takes behave like :meth:`Pipe.take` until the producer raises; then,
-    while retries remain, the co-expression is refreshed (``^c``) and run
-    on a fresh pipe after the policy's backoff, instead of the error
-    reaching the consumer.  When the budget is exhausted the take raises
-    :class:`RetryExhaustedError` chained to the last producer error.
+    while retries remain, the pipe is refreshed (``^p``: a fresh pipe
+    over the ``^c``-refreshed co-expression) after the policy's backoff,
+    instead of the error reaching the consumer.  When the budget is
+    exhausted the take raises :class:`RetryExhaustedError` chained to
+    the last producer error.
 
     Timeout expiry (:class:`PipeTimeoutError`) is *not* retried — a slow
     producer is not a crashed one; the caller decides whether to cancel.
@@ -470,22 +471,11 @@ class SupervisedPipe(IconIterator):
         "name",
         "max_retries",
         "backoff",
-        "capacity",
         "take_timeout",
-        "batch",
-        "max_linger",
-        "backend",
-        "heartbeat_interval",
-        "heartbeat_timeout",
-        "mp_context",
-        "remote_address",
-        "deadline",
         "restart",
         "upstream",
-        "_scheduler",
         "_sleep",
         "_cancel_event",
-        "_coexpr",
         "_pipe",
         "_failures",
         "_delivered",
@@ -521,67 +511,41 @@ class SupervisedPipe(IconIterator):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         super().__init__()
-        self._coexpr = coexpr_of(expr)
-        self.name = name or self._coexpr.name
         self.max_retries = max_retries
         self.backoff = backoff or BackoffPolicy()
-        self.capacity = capacity
         self.take_timeout = take_timeout
-        self.batch = batch
-        self.max_linger = max_linger
-        #: Worker tier for every (re)spawned pipe — "process" gives
-        #: crash isolation: a lost child is a retryable fault, and the
-        #: restart respawns a fresh process (see repro.coexpr.proc);
-        #: "remote" gives the same contract over a socket: a lost
-        #: connection (PipeConnectionLost) consumes a retry and the
-        #: restart reconnects to remote_address (see repro.net).
-        self.backend = backend
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.mp_context = mp_context
-        if backend == "remote" and remote_address is not None:
-            # Normalize ONCE (list -> ServerPool) so every restart
-            # shares the same pool object: suspicion and failover
-            # memory must survive the refresh, or a reconnect would
-            # happily re-dial the replica that just died.
-            from ..net.cluster import normalize_remote_address
-
-            remote_address = normalize_remote_address(remote_address)
-        self.remote_address = remote_address
-        #: One normalized Deadline shared by every (re)spawned pipe:
-        #: restarts burn the same budget, never a fresh one.
-        self.deadline = deadline_from(deadline)
         self.restart = restart
         #: Optional upstream pipe to cancel when supervision gives up
         #: (exhaust) or is cancelled — keeps the producer chain leak-free.
         self.upstream = upstream
-        self._scheduler = scheduler
         self._sleep = sleep
         #: Set by cancel(): makes a backoff sleep in progress return
         #: immediately instead of serving out its full delay.
         self._cancel_event = threading.Event()
-        self._pipe = self._make_pipe()
+        #: The running pipe; a restart is its ``refresh()`` (``^p``): the
+        #: same tier — a lost child or connection respawns or redials —
+        #: the same Deadline (never a fresh budget), and the same pool a
+        #: list address became, so a reconnect avoids the dead replica.
+        self._pipe = Pipe(
+            expr,
+            capacity=capacity,
+            scheduler=scheduler,
+            take_timeout=take_timeout,
+            batch=batch,
+            max_linger=max_linger,
+            backend=backend,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            mp_context=mp_context,
+            remote_address=remote_address,
+            deadline=deadline,
+        )
+        self.name = name or self._pipe.coexpr.name
         self._failures = 0       # producer crashes seen so far
         self._delivered = 0      # results handed to the consumer
         self._skip = 0           # replayed results to discard after a restart
         self._lock = threading.RLock()
         self._cancelled = False
-
-    def _make_pipe(self) -> Pipe:
-        return Pipe(
-            self._coexpr,
-            capacity=self.capacity,
-            scheduler=self._scheduler,
-            take_timeout=self.take_timeout,
-            batch=self.batch,
-            max_linger=self.max_linger,
-            backend=self.backend,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            mp_context=self.mp_context,
-            remote_address=self.remote_address,
-            deadline=self.deadline,
-        )
 
     # -- lifecycle events -----------------------------------------------------
 
@@ -639,8 +603,7 @@ class SupervisedPipe(IconIterator):
             else:
                 self._sleep(delay)
         self._pipe.cancel()
-        self._coexpr = self._coexpr.refresh()
-        self._pipe = self._make_pipe()
+        self._pipe = self._pipe.refresh()
         if self._cancelled:
             self._pipe.cancel()  # raced with a concurrent cancel(): stay down
         if self.restart == "replay":
@@ -889,19 +852,14 @@ def supervised_pipeline(
     this shape; inject faults in the stage functions or kill server
     sessions instead.)
     """
-    from .patterns import _remote_pipeline_body, source_pipe
+    from .patterns import _whole_chain, source_pipe
 
     # Normalize once: the source and every stage share ONE budget — the
     # deadline is end-to-end, not per stage.
     deadline = deadline_from(deadline)
     if backend == "remote" and stages:
-        coexpr = CoExpression(
-            _remote_pipeline_body,
-            lambda: (source, tuple(stages)),
-            name=f"pipeline[{len(stages)}]",
-        )
         return SupervisedPipe(
-            coexpr,
+            _whole_chain(source, stages),
             max_retries=max_retries,
             backoff=backoff,
             capacity=capacity,

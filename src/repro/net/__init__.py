@@ -16,8 +16,11 @@ Two client shapes:
   transparent tier: the pipe's own body is pickled and shipped, and the
   consumer sees the identical element-at-a-time stream (degrading to
   the thread backend when the body cannot travel);
-* :class:`RemotePipe` — a proxy over a factory the *server* registered
-  by name, for bodies that only exist on the far side.
+* :class:`RemotePipe` — the same :class:`~repro.coexpr.pipe.Pipe` over
+  a :class:`~repro.net.client.ServerCall` body: a factory the *server*
+  registered by name, for bodies that only exist on the far side.  It
+  never degrades (there is nothing local to run), and its ``refresh()``
+  — the ``^p`` a supervised restart uses — redials and replays.
 
 The **event-loop server** (:mod:`repro.net.aserver`) is the same wire
 contract on a different substrate: :class:`AsyncGeneratorServer`
@@ -33,8 +36,9 @@ a retryable fault: reconnect and replay.  An *overloaded* server sheds
 instead of hanging — it answers the dial with ``WIRE_BUSY`` and a
 retry hint, surfacing :class:`~repro.errors.PipeServerBusy`; repeated
 busy/lost outcomes trip a per-address :class:`CircuitBreaker` that
-fails fast (and lets ``backend="remote"`` degrade to threads) until a
-half-open probe finds the server healthy again.
+fails fast (a shipped body degrades to threads; a :class:`RemotePipe`
+raises ``PipeServerBusy``) until a half-open probe finds the server
+healthy again.
 
 The **cluster tier** (:mod:`repro.net.cluster`) replicates the server:
 ``remote_address=[addr1, addr2, ...]`` anywhere a single address is

@@ -1,14 +1,16 @@
 """The client side of the network tier: remote workers and remote pipes.
 
-Two entry points share one transport:
+One entry point, :func:`start_remote_worker` — the hook
+:meth:`Pipe.start` calls for ``backend="remote"`` — starts every remote
+body through one dial (:func:`_dial`).  The body decides the request:
 
-* :func:`start_remote_worker` — the hook :meth:`Pipe.start` calls for
-  ``backend="remote"``: ship the pipe's own ``(factory, env)`` body to
-  the generator server and pump the result stream into the pipe's
-  channel (or return None to degrade to the thread backend);
-* :class:`RemotePipe` — an :class:`~repro.runtime.iterator.IconIterator`
-  proxy over a factory the *server* registered by name, for bodies that
-  only exist on the far side.
+* a pipe's own ``(factory, env)`` body is pickled into a ``WIRE_SPAWN``
+  and, when it cannot run remotely, the hook returns the reason and the
+  pipe degrades to the thread backend;
+* a :class:`ServerCall` body names a factory the *server* registered; it
+  goes as a ``WIRE_CALL`` and, having no local body, never degrades — a
+  refused dial raises instead.  :class:`RemotePipe` is just a
+  :class:`~repro.coexpr.pipe.Pipe` over such a body.
 
 The pump thread is transport and monitor in one loop, kept thin by
 the same sans-IO :class:`~repro.coexpr.wire.Receiver` the process
@@ -42,8 +44,9 @@ the bytes that prove it portable are the bytes the request ships.
 
 A per-address :class:`CircuitBreaker` sits in front of every dial:
 consecutive ``WIRE_BUSY`` sheds and connection losses trip it open, and
-while open ``backend="remote"`` degrades to the thread tier *without
-dialing* — a saturated server stops being hammered by reconnect storms.
+while open a shipped body degrades to the thread tier *without dialing*
+(a :class:`ServerCall` raises :class:`~repro.errors.PipeServerBusy`) —
+a saturated server stops being hammered by reconnect storms.
 After the shed's ``retry_after`` lapses the breaker admits one half-open
 probe; a healthy stream closes it again.
 """
@@ -54,13 +57,12 @@ import pickle
 import socket
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any, NamedTuple
 
-from ..coexpr.channel import CLOSED, Channel
-from ..coexpr.deadline import deadline_from
-from ..coexpr.pipe import StreamOwner, check_heartbeat
+from ..coexpr.coexpression import CoExpression
+from ..coexpr.pipe import Pipe
 from ..coexpr.proc import body_portability_reason
-from ..coexpr.scheduler import PipeScheduler, default_scheduler
+from ..coexpr.scheduler import PipeScheduler
 from ..coexpr.wire import (
     _POLL_SLICE,
     LOST,
@@ -81,14 +83,10 @@ from ..errors import (
     ChannelClosedError,
     InjectedDisconnect,
     PipeConnectionLost,
-    PipeDeadlineExceeded,
     PipeError,
     PipeServerBusy,
-    PipeTimeoutError,
 )
 from ..monitor.events import Event, EventKind, emit_lifecycle, lifecycle_enabled
-from ..runtime.failure import FAIL
-from ..runtime.iterator import IconIterator
 
 #: TCP connect timeout before degrading (or failing a RemotePipe).
 _CONNECT_TIMEOUT = 5.0
@@ -97,8 +95,6 @@ _CONNECT_TIMEOUT = 5.0
 _BREAKER_THRESHOLD = 3
 #: Open-state hold when the failure carried no ``retry_after`` hint.
 _BREAKER_COOLDOWN = 0.5
-
-_UNSET = object()
 
 
 class CircuitBreaker:
@@ -270,8 +266,10 @@ def drain_address(address: Any, reason: str) -> int:
 class RemoteWorker:
     """One server connection plus the pump/watchdog thread draining it.
 
-    *owner* is the pipe (or :class:`RemotePipe`) being fed: it supplies
-    the output channel, the cancel flag, and the watchdog knobs.  The
+    *owner* is the :class:`~repro.coexpr.pipe.Pipe` being fed — a
+    :class:`RemotePipe` is one too, over a :class:`ServerCall` body: it
+    supplies the output channel, the cancel flag, and the watchdog
+    knobs.  The
     pump body runs on a scheduler thread; the worker itself registers
     with the scheduler's session accounting, so ``leaked()`` and
     ``shutdown()`` cover the open socket.
@@ -541,7 +539,7 @@ def _dial_pooled(
     pool: Any,
     key: Any,
     request: tuple,
-    label: Any = None,
+    label: Any,
 ) -> RemoteWorker:
     """Dial through a :class:`~repro.net.cluster.ServerPool`.
 
@@ -554,12 +552,12 @@ def _dial_pooled(
     worker carries the pool + key so losses feed suspicion, and an
     armed fault plan is entered for the session.
 
-    *label* names the worker: a callable receives the chosen address
-    (RemotePipe's ``factory@host:port`` labels); None uses *key*.
+    *label* names the worker: it receives the chosen address (a
+    :class:`ServerCall`'s ``factory@host:port`` labels).
 
     Raises :class:`~repro.errors.PipeConnectionLost` only when **every**
-    replica refused — the caller then applies its tier's last-resort
-    rule (degrade to threads, or propagate for a RemotePipe).
+    replica refused — the caller then applies its body's last-resort
+    rule (degrade to threads, or propagate for a :class:`ServerCall`).
     """
     last_error: BaseException | None = None
     for address in pool.dial_candidates(key):
@@ -571,7 +569,7 @@ def _dial_pooled(
                 f"circuit breaker open (probe in {breaker.remaining():.2f}s)",
             )
             continue
-        name = label(address) if callable(label) else (label or key)
+        name = label(address)
         try:
             worker = _connect_worker(owner, scheduler, address, name, request)
         except (OSError, EOFError) as error:
@@ -599,8 +597,50 @@ def _dial_pooled(
     )
 
 
+def _dial(owner: Any, scheduler: Any, request: tuple) -> RemoteWorker:
+    """Open *owner*'s session on its ``remote_address``: the replica
+    walk of a :class:`~repro.net.cluster.ServerPool`, or — for a single
+    address — the breaker check and one connect.
+
+    Raises :class:`~repro.errors.PipeServerBusy` (with ``retry_after``)
+    while that address's breaker is open, and
+    :class:`~repro.errors.PipeConnectionLost` when the connect fails
+    (recorded on the breaker) or no replica is reachable.  A
+    :class:`ServerCall` session is named ``factory@host:port``; any
+    other after its co-expression.
+    """
+    address = owner.remote_address
+    name = owner.coexpr.name
+    call = isinstance(owner.coexpr._factory, ServerCall)
+
+    def label(chosen: Any) -> str:
+        return f"{name}@{chosen[0]}:{chosen[1]}" if call else name
+
+    if hasattr(address, "dial_candidates"):
+        # Cluster tier: per-replica breakers are consulted inside the
+        # candidate walk; only a fleet-wide refusal raises.
+        return _dial_pooled(owner, scheduler, address, name, request, label)
+    breaker = breaker_for(address)
+    if not breaker.allow():
+        raise PipeServerBusy(
+            f"circuit breaker open for {address!r} "
+            f"(probe in {breaker.remaining():.2f}s)",
+            address=address,
+            retry_after=breaker.remaining(),
+        )
+    try:
+        return _connect_worker(owner, scheduler, address, label(address), request)
+    except (OSError, EOFError) as error:
+        breaker.record_failure()
+        raise PipeConnectionLost(
+            f"connect to {address!r} failed: {error!r}",
+            address=address,
+            reason="connect failed",
+        ) from error
+
+
 def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
-    """Ship *pipe*'s body to its generator server, or say why it cannot
+    """Start *pipe*'s body on its generator server, or say why it cannot
     run there.
 
     Returns a running :class:`RemoteWorker` (connected, request sent,
@@ -611,94 +651,81 @@ def start_remote_worker(pipe: Any, scheduler: Any) -> RemoteWorker | str:
     :class:`~repro.errors.SchedulerShutdownError` exactly as the other
     backends do.
 
-    The body must leave the process
-    (:func:`~repro.coexpr.proc.body_portability_reason`) and must
-    *always* pickle — unlike a forked child, the server never shares
-    memory with the client.  It is pickled once, straight into the
-    ``WIRE_SPAWN`` request.
+    A :class:`ServerCall` body is a ``WIRE_CALL`` of the factory the
+    server registered by that name.  Any other body must leave the
+    process (:func:`~repro.coexpr.proc.body_portability_reason`) and
+    must *always* pickle — unlike a forked child, the server never
+    shares memory with the client.  It is pickled once, straight into
+    the ``WIRE_SPAWN`` request.
 
-    An open :class:`CircuitBreaker` for the target address degrades
+    An open :class:`CircuitBreaker` for the target address refuses
     *without dialing* — while the server is shedding (or down), remote
     requests run on the thread tier instead of feeding a reconnect
-    storm; the breaker's half-open probe decides when to go back.
+    storm; the breaker's half-open probe decides when to go back.  A
+    :class:`ServerCall` has no local body to run instead, so for it a
+    refused or failed dial raises (and the un-started pipe dials again
+    on its next step).
     """
-    reason = body_portability_reason(pipe)
-    if reason is not None:
-        return reason
     coexpr = pipe.coexpr
-    try:
-        body = pickle.dumps(
-            (coexpr._factory, coexpr._env), protocol=pickle.HIGHEST_PROTOCOL
-        )
-    except Exception as error:  # noqa: BLE001 - any pickle failure degrades
-        return f"body not picklable for remote execution: {error!r}"
-    address = pipe.remote_address
-    pooled = hasattr(address, "dial_candidates")
-    breaker = None if pooled else breaker_for(address)
-    if breaker is not None and not breaker.allow():
-        return (
-            f"circuit breaker open for {address!r} "
-            f"(probe in {breaker.remaining():.2f}s)"
-        )
+    body = coexpr._factory
+    if isinstance(body, ServerCall):
+        kind, head = WIRE_CALL, {"name": body.name, "args": body.args}
+    else:
+        reason = body_portability_reason(pipe)
+        if reason is not None:
+            return reason
+        try:
+            pickled = pickle.dumps(
+                (body, coexpr._env), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        except Exception as error:  # noqa: BLE001 - any pickle failure degrades
+            return f"body not picklable for remote execution: {error!r}"
+        kind, head = WIRE_SPAWN, {"body": pickled, "name": coexpr.name}
     request = (
-        WIRE_SPAWN,
+        kind,
         {
-            "body": body,
-            "name": coexpr.name,
-            "batch": max(pipe.batch, 1),
+            **head,
+            "batch": pipe.batch,
             "max_linger": pipe.max_linger,
             "heartbeat_interval": pipe.heartbeat_interval,
         },
     )
-    if pooled:
-        # Cluster tier: per-replica breakers are consulted inside the
-        # candidate walk; only a fleet-wide refusal degrades (replica ->
-        # next replica -> threads).
-        try:
-            return _dial_pooled(pipe, scheduler, address, coexpr.name, request)
-        except PipeConnectionLost as error:
-            return str(error)
     try:
-        return _connect_worker(pipe, scheduler, address, coexpr.name, request)
-    except (OSError, EOFError) as error:
-        breaker.record_failure()
-        return f"connect to {address!r} failed: {error!r}"
+        return _dial(pipe, scheduler, request)
+    except PipeConnectionLost as error:
+        if isinstance(body, ServerCall):
+            raise
+        return str(error)
 
 
-class RemotePipe(StreamOwner, IconIterator):
+class ServerCall(NamedTuple):
+    """The body of a :class:`RemotePipe`: the factory the server
+    registered as *name*, called there with primitive *args*.  It exists
+    only on the far side — it is never pickled into a ``WIRE_SPAWN`` and
+    never runs on a local thread."""
+
+    name: str
+    args: tuple
+
+
+class RemotePipe(Pipe):
     """A pipe over a factory the *server* registered by name.
 
-    The consumer-facing twin of ``Pipe(..., backend="remote")`` for
-    bodies that only exist server-side: ``RemotePipe(address, "events",
-    args=(...,))`` asks the server to run its ``events`` factory and
-    streams the results through a local channel with the same take /
-    iterate / cancel surface a :class:`~repro.coexpr.pipe.Pipe` has.
+    ``RemotePipe(address, "events", args=(...,))`` is
+    ``Pipe(..., backend="remote")`` over a :class:`ServerCall` body: the
+    server runs its ``events`` factory and the results stream through a
+    local channel with the whole :class:`~repro.coexpr.pipe.Pipe`
+    surface — take / iterate / cancel, deadlines, batching.
 
-    There is no local body to fall back to, so connection failures
-    raise :class:`~repro.errors.PipeConnectionLost` instead of
-    degrading.  ``refresh()`` returns a sibling proxy — a *new*
-    connection replaying the factory from the start — which is what
-    supervision needs for reconnect-and-replay.
+    There is no local body to fall back to, so the pipe never degrades:
+    an open breaker raises :class:`~repro.errors.PipeServerBusy` and a
+    failed dial :class:`~repro.errors.PipeConnectionLost`, and the next
+    step dials again.  ``refresh()`` (``^p``) returns a sibling proxy —
+    a *new* connection replaying the factory from the start — which is
+    what supervision needs for reconnect-and-replay.
     """
 
-    __slots__ = (
-        "address",
-        "factory_name",
-        "args",
-        "capacity",
-        "out",
-        "take_timeout",
-        "batch",
-        "heartbeat_interval",
-        "heartbeat_timeout",
-        "deadline",
-        "upstream",
-        "_scheduler",
-        "_worker",
-        "_started",
-        "_cancelled",
-        "_errored",
-    )
+    __slots__ = ()
 
     def __init__(
         self,
@@ -713,221 +740,21 @@ class RemotePipe(StreamOwner, IconIterator):
         heartbeat_timeout: float | None = None,
         deadline: Any = None,
     ) -> None:
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        interval = check_heartbeat(heartbeat_interval, heartbeat_timeout)
-        super().__init__()
-        from .cluster import normalize_remote_address
-
-        # A list of replicas becomes a ServerPool; a single (host, port)
-        # stays a tuple; an existing pool is shared (routing memory —
-        # suspicion, failover history — persists across refresh()).
-        self.address = normalize_remote_address(address)
-        self.factory_name = name
-        self.args = tuple(args)
-        self.capacity = capacity
-        self.out = Channel(capacity)
-        self.take_timeout = take_timeout
-        self.batch = batch
-        self.heartbeat_interval = interval
-        self.heartbeat_timeout = heartbeat_timeout
-        #: End-to-end budget; shipped to the server in the handshake.
-        self.deadline = deadline_from(deadline)
-        self.upstream: Any = None
-        self._scheduler = scheduler
-        self._worker: RemoteWorker | None = None
-        self._started = False
-        self._cancelled = False
-        self._errored = False
-
-    def _emit(self, kind: str, value: Any = None) -> None:
-        if lifecycle_enabled():
-            emit_lifecycle(Event(kind, f"pipe:{self.factory_name}", 0, value))
-
-    def _deadline_error(self, where: str) -> PipeDeadlineExceeded:
-        self._emit(EventKind.DEADLINE_EXPIRED, {"where": where, "remaining": 0.0})
-        return PipeDeadlineExceeded(
-            f"remote pipe {self.factory_name!r}: deadline exceeded ({where})",
-            where=where,
+        super().__init__(
+            CoExpression(ServerCall(name, tuple(args)), name=name),
+            capacity,
+            scheduler,
+            take_timeout,
+            batch,
+            backend="remote",
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            remote_address=address,
+            deadline=deadline,
         )
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> "RemotePipe":
-        """Connect and start streaming (idempotent; lazy via take).
-
-        An expired deadline short-circuits before the dial; an open
-        circuit breaker fails fast with
-        :class:`~repro.errors.PipeServerBusy` (retryable — there is no
-        local body to degrade to).
-        """
-        if self._started or self._cancelled:
-            return self
-        deadline = self.deadline
-        if deadline is not None and deadline.expired():
-            error = self._deadline_error("start")
-            self.cancel()
-            raise error
-        pooled = hasattr(self.address, "dial_candidates")
-        if not pooled:
-            breaker = breaker_for(self.address)
-            if not breaker.allow():
-                raise PipeServerBusy(
-                    f"remote pipe {self.factory_name!r}: circuit breaker open "
-                    f"for {self.address!r}",
-                    address=self.address,
-                    retry_after=breaker.remaining(),
-                )
-        self._started = True
-        scheduler = self._scheduler or default_scheduler()
-        request = (
-            WIRE_CALL,
-            {
-                "name": self.factory_name,
-                "args": self.args,
-                "batch": self.batch,
-                "max_linger": None,
-                "heartbeat_interval": self.heartbeat_interval,
-            },
-        )
-        if pooled:
-            # Cluster tier: walk the replicas (per-replica breakers are
-            # consulted inside).  Only a fleet-wide refusal propagates —
-            # there is no local body to degrade to.
-            try:
-                self._worker = _dial_pooled(
-                    self,
-                    scheduler,
-                    self.address,
-                    self.factory_name,
-                    request,
-                    label=lambda a: f"{self.factory_name}@{a[0]}:{a[1]}",
-                )
-            except BaseException:
-                self._started = False
-                raise
-            return self
-        label = f"{self.factory_name}@{self.address[0]}:{self.address[1]}"
-        try:
-            self._worker = _connect_worker(
-                self, scheduler, self.address, label, request
-            )
-        except (OSError, EOFError) as error:
-            # Un-start on a failed dial: with _started left set, a
-            # retrying take() would skip the reconnect and block forever
-            # on a channel nothing will ever feed or close.
-            self._started = False
-            breaker.record_failure()
-            raise PipeConnectionLost(
-                f"remote pipe {self.factory_name!r}: cannot reach "
-                f"{self.address!r} ({error!r})",
-                address=self.address,
-                reason="connect failed",
-            ) from error
-        except BaseException:
-            self._started = False
-            raise
-        return self
-
-    def cancel(self, join: bool = False, timeout: float | None = None) -> bool:
-        """Stop the remote session and close the local channel."""
-        first = not self._cancelled
-        self._cancelled = True
-        if first:
-            self.out.close()
-            worker = self._worker
-            if worker is not None:
-                worker.terminate()
-        worker = self._worker
-        if worker is None:
-            return True
-        if join:
-            return worker.join(timeout)
-        return not worker.is_alive()
 
     @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def refresh(self) -> "RemotePipe":
-        """A sibling proxy: a fresh connection replaying the factory."""
-        return RemotePipe(
-            self.address,
-            self.factory_name,
-            args=self.args,
-            capacity=self.capacity,
-            scheduler=self._scheduler,
-            take_timeout=self.take_timeout,
-            batch=self.batch,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            deadline=self.deadline,  # the same budget: a refresh is not a reset
-        )
-
-    # -- consumer --------------------------------------------------------------
-
-    def take(self, timeout: Any = _UNSET) -> Any:
-        """The next result or :data:`FAIL`; deadline like ``Pipe.take``."""
-        if timeout is _UNSET:
-            timeout = self.take_timeout
-        deadline = self.deadline
-        if deadline is not None:
-            if deadline.expired():
-                error = self._deadline_error("take")
-                self.cancel()
-                raise error
-            timeout = deadline.bound(timeout)
-        try:
-            self.start()
-            item = self.out.take(timeout)
-        except PipeDeadlineExceeded:
-            # The server session's own expiry envelope (or a start-time
-            # short-circuit): tear down and let it through unwrapped.
-            self.cancel()
-            raise
-        except PipeTimeoutError:
-            if deadline is not None and deadline.expired():
-                error = self._deadline_error("take")
-                self.cancel()
-                raise error from None
-            raise PipeTimeoutError(
-                f"remote pipe {self.factory_name!r}: no result within {timeout}s"
-            ) from None
-        if item is CLOSED:
-            return FAIL
-        return item
-
-    def next_value(self) -> Any:
-        return self.take()
-
-    def iterate(self) -> Iterator[Any]:
-        self.start()
-        while True:
-            item = self.take()
-            if item is FAIL:
-                return
-            yield item
-
-    # -- runtime protocol hooks ------------------------------------------------
-
-    def icon_activate(self, transmit: Any = None) -> Any:
-        if transmit is not None:
-            raise PipeError("cannot transmit a value into a remote pipe")
-        return self.take()
-
-    def icon_promote(self) -> Iterator[Any]:
-        return self.iterate()
-
-    def icon_type(self) -> str:
-        return "remote-pipe"
-
-    def __repr__(self) -> str:
-        state = (
-            "cancelled"
-            if self._cancelled
-            else ("connected" if self._started else "unstarted")
-        )
-        return (
-            f"RemotePipe({self.factory_name}@{self.address!r}, {state}, "
-            f"queued={len(self.out)})"
-        )
+    def address(self) -> Any:
+        """``remote_address``: the server's ``(host, port)``, or the
+        :class:`~repro.net.cluster.ServerPool` shared across refreshes."""
+        return self.remote_address

@@ -5,10 +5,11 @@ import time
 
 import pytest
 
-from repro.errors import PipeError
+from repro.errors import PipeError, SchedulerShutdownError
 from repro.runtime.failure import FAIL
 from repro.coexpr.coexpression import CoExpression
 from repro.coexpr.pipe import Pipe
+from repro.coexpr.scheduler import PipeScheduler
 
 
 def counted(n):
@@ -166,6 +167,19 @@ class TestErrors:
         with pytest.raises(RuntimeError):
             pipe.take()
         assert pipe.take() is FAIL
+
+    def test_failed_start_raises_on_every_take(self):
+        # A start that raises un-starts the pipe: the next take retries
+        # the start and raises the same error, instead of timing out (or,
+        # with no timeout, blocking forever) on a channel nothing feeds.
+        scheduler = PipeScheduler()
+        scheduler.shutdown()
+        pipe = Pipe(counted(3), scheduler=scheduler)
+        for _ in range(3):
+            with pytest.raises(SchedulerShutdownError):
+                pipe.take(timeout=0.5)
+        assert repr(pipe).startswith("Pipe(")
+        assert "unstarted" in repr(pipe)
 
 
 class TestRefresh:

@@ -329,6 +329,34 @@ class TestFailover:
         assert list(piped.iterate()) == list(range(20))
         assert pool.stats()["failovers"] == 1
 
+    def test_list_address_is_one_pool_across_restarts(self, servers):
+        # A list (not a pool) given to supervise becomes ONE ServerPool
+        # that every restart shares: the refreshed pipe keeps the
+        # suspicion and failover memory, so the replay avoids the
+        # replica just marked down.
+        piped = supervise(
+            source_pipe(range(300)).coexpr,
+            backend="remote",
+            remote_address=[servers[0].address, servers[1].address],
+            capacity=2,
+            backoff=NO_BACKOFF,
+            max_retries=3,
+            heartbeat_interval=2.0,
+        )
+        first = piped._pipe
+        pool = first.remote_address
+        assert isinstance(pool, ServerPool)
+        it = piped.iterate()
+        head = [next(it) for _ in range(5)]
+        primary = pool.last_address("source")
+        assert pool.mark_down(primary, "probe missed 3 pings")
+        assert head + list(it) == list(range(300))  # exactly-once
+        assert piped.failures == 1
+        assert pool.stats()["failovers"] == 1
+        assert piped._pipe is not first
+        assert piped._pipe.remote_address is pool
+        assert pool.last_address("source") != primary
+
 
 class TestWorkStealing:
     def test_stranded_chunk_is_stolen_exactly_once(self, servers):
