@@ -37,9 +37,7 @@ from ..errors import PipeConnectionLost
 from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 from .coexpression import CoExpression
-from .deadline import deadline_from
-from .pipe import Pipe
-from .scheduler import PipeScheduler
+from .pipe import Pipe, pipe_knobs
 
 
 def apply_mapped(fn: Callable[[Any], Any], value: Any) -> Iterator[Any]:
@@ -101,19 +99,15 @@ class DataParallel:
     def __init__(
         self,
         chunk_size: int = 1000,
-        capacity: int = 0,
-        scheduler: PipeScheduler | None = None,
+        *,
         max_pending: int | None = None,
-        batch: int = 1,
-        max_linger: float | None = None,
-        backend: str = "thread",
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        mp_context: Any = None,
-        remote_address: Any = None,
-        deadline: Any = None,
+        **knobs: Any,
     ) -> None:
-        """``chunk_size`` elements per task (Figure 4 uses 1000);
+        """``chunk_size`` elements per task (Figure 4 uses 1000).  Keyword
+        options as for :class:`~repro.coexpr.pipe.Pipe` configure every
+        task pipe — all but ``take_timeout``: the ordered drain waits on
+        each task for as long as its chunk takes.
+
         ``capacity`` bounds each task pipe's output queue; ``max_pending``
         (host extension) caps in-flight task pipes — the paper's version
         spawns one per chunk up front, which is ``max_pending=None``.
@@ -147,32 +141,27 @@ class DataParallel:
             raise ValueError("chunk_size must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 or None")
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if backend not in ("thread", "process", "remote", "async"):
-            raise ValueError(
-                "backend must be 'thread', 'process', 'remote', or 'async'"
+        if "take_timeout" in knobs:
+            raise TypeError(
+                "DataParallel() got an unexpected keyword argument 'take_timeout'"
             )
         self.chunk_size = chunk_size
-        self.capacity = capacity
-        self.scheduler = scheduler
         self.max_pending = max_pending
-        self.batch = batch
-        self.max_linger = max_linger
-        self.backend = backend
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.mp_context = mp_context
-        if remote_address is not None:
-            # Normalized once (list -> ServerPool): every chunk task —
-            # and every steal respawn — shares the one pool, so a chunk
-            # re-run after a replica death is routed around the corpse.
-            from ..net.cluster import normalize_remote_address
+        #: The task pipes' knobs, checked and normalized once: every
+        #: chunk task — and every steal respawn — shares the ONE budget
+        #: and, for a list address, the one ServerPool, so a chunk re-run
+        #: after a replica death is routed around the corpse.
+        self.knobs = pipe_knobs(**knobs)
 
-            remote_address = normalize_remote_address(remote_address)
-        self.remote_address = remote_address
-        # Normalized once: every task pipe shares the ONE budget.
-        self.deadline = deadline_from(deadline)
+    @property
+    def backend(self) -> str:
+        """The task pipes' tier, unless a call overrides it."""
+        return self.knobs["backend"]
+
+    @property
+    def remote_address(self) -> Any:
+        """The normalized ``remote_address`` every task pipe shares."""
+        return self.knobs["remote_address"]
 
     # -- Figure 4: chunk -------------------------------------------------------
 
@@ -249,37 +238,26 @@ class DataParallel:
         task_body: Callable[..., Iterator[Any]],
         chunk: List[Any],
         extra: tuple,
-        backend: str,
+        knobs: dict,
         name: str = "mapreduce-task",
     ) -> Pipe:
         coexpr = CoExpression(task_body, lambda: (chunk,) + extra, name=name)
-        return Pipe(
-            coexpr,
-            capacity=self.capacity,
-            scheduler=self.scheduler,
-            batch=self.batch,
-            max_linger=self.max_linger,
-            backend=backend,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            mp_context=self.mp_context,
-            remote_address=self.remote_address,
-            deadline=self.deadline,
-        ).start()
+        return Pipe(coexpr, **knobs).start()
 
-    def _pool(self, backend: str) -> Any:
+    @staticmethod
+    def _pool(knobs: dict) -> Any:
         """The ServerPool routing this run's tasks (None when the run is
         single-server, local, or not remote at all)."""
-        if backend != "remote":
+        if knobs["backend"] != "remote":
             return None
-        pool = self.remote_address
+        pool = knobs["remote_address"]
         return pool if hasattr(pool, "dial_candidates") else None
 
-    def _task_name(self, index: int, backend: str) -> str:
+    def _task_name(self, index: int, knobs: dict) -> str:
         # Pooled tasks need distinct route keys: under one shared name
         # every chunk would hash to the same replica, defeating the
         # fan-out.  Single-server and local runs keep the classic name.
-        if self._pool(backend) is not None:
+        if self._pool(knobs) is not None:
             return f"mapreduce-task-{index}"
         return "mapreduce-task"
 
@@ -288,7 +266,7 @@ class DataParallel:
         holder: List[Any],
         task_body: Callable[..., Iterator[Any]],
         extra: tuple,
-        backend: str,
+        knobs: dict,
     ) -> Iterator[Any]:
         """Drain one chunk task, stealing the chunk back on replica loss.
 
@@ -305,7 +283,7 @@ class DataParallel:
         replica → next replica → threads degradation order; the work is
         never silently dropped.
         """
-        pool = self._pool(backend)
+        pool = self._pool(knobs)
         if pool is None:
             yield from holder[0].iterate()
             return
@@ -341,7 +319,7 @@ class DataParallel:
                     task_body,
                     holder[1],
                     extra,
-                    "thread" if fallback else backend,
+                    dict(knobs, backend="thread") if fallback else knobs,
                     name=task.coexpr.name,
                 )
                 skip = delivered
@@ -353,11 +331,12 @@ class DataParallel:
         source: Any,
         backend: str | None = None,
     ) -> Iterator[Any]:
-        backend = backend if backend is not None else self.backend
-        if backend not in ("thread", "process", "remote", "async"):
-            raise ValueError(
-                "backend must be 'thread', 'process', 'remote', or 'async'"
-            )
+        # Checked once per run: every task (and steal respawn) of the
+        # run gets the same knobs, with the call's backend override.
+        if backend is not None:
+            knobs = pipe_knobs(**dict(self.knobs, backend=backend))
+        else:
+            knobs = self.knobs
         # Cancellation propagates to siblings: if the drain stops early —
         # one task raised, or the consumer abandoned the generator — every
         # outstanding task pipe is cancelled, so no chunk worker is left
@@ -365,14 +344,14 @@ class DataParallel:
         if self.max_pending is None:
             # The paper's shape: spawn a task per chunk, then drain in order.
             holders = [
-                [self._spawn(task_body, chunk, extra, backend,
-                             name=self._task_name(index, backend)), chunk]
+                [self._spawn(task_body, chunk, extra, knobs,
+                             name=self._task_name(index, knobs)), chunk]
                 for index, chunk in enumerate(self.chunk(source))
             ]
             done = 0
             try:
                 for holder in holders:
-                    yield from self._drain(holder, task_body, extra, backend)
+                    yield from self._drain(holder, task_body, extra, knobs)
                     done += 1
             finally:
                 for holder in holders[done:]:
@@ -383,13 +362,13 @@ class DataParallel:
         try:
             for index, chunk in enumerate(self.chunk(source)):
                 window.append(
-                    [self._spawn(task_body, chunk, extra, backend,
-                                 name=self._task_name(index, backend)), chunk]
+                    [self._spawn(task_body, chunk, extra, knobs,
+                                 name=self._task_name(index, knobs)), chunk]
                 )
                 if len(window) >= self.max_pending:
-                    yield from self._drain(window.pop(0), task_body, extra, backend)
+                    yield from self._drain(window.pop(0), task_body, extra, knobs)
             while window:
-                yield from self._drain(window.pop(0), task_body, extra, backend)
+                yield from self._drain(window.pop(0), task_body, extra, knobs)
         finally:
             for holder in window:
                 holder[0].cancel()

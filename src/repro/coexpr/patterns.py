@@ -24,8 +24,7 @@ from ..errors import ChannelClosedError
 from ..runtime.failure import FAIL
 from .coexpression import CoExpression
 from .dataparallel import apply_mapped, iter_source
-from .deadline import deadline_from
-from .pipe import Pipe
+from .pipe import Pipe, pipe_knobs
 from .scheduler import PipeScheduler, default_scheduler
 
 
@@ -54,9 +53,13 @@ def _remote_pipeline_body(source: Any, stages: tuple) -> Iterator[Any]:
         piped.cancel()
 
 
-def _whole_chain(source: Any, stages: tuple) -> CoExpression:
+def _whole_chain(source: Any, stages: tuple, knobs: dict) -> CoExpression | None:
     """The one co-expression a remote :func:`pipeline` (supervised or
-    not) ships for the whole chain, over :func:`_remote_pipeline_body`."""
+    not) ships for the whole chain, over :func:`_remote_pipeline_body` —
+    or None when the chain is built stage by stage instead (any backend
+    but ``"remote"``, or no stages: a lone source is just a pipe)."""
+    if knobs["backend"] != "remote" or not stages:
+        return None
     return CoExpression(
         _remote_pipeline_body,
         lambda: (source, tuple(stages)),
@@ -64,56 +67,18 @@ def _whole_chain(source: Any, stages: tuple) -> CoExpression:
     )
 
 
-def source_pipe(
-    source: Any,
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
-) -> Pipe:
+def source_pipe(source: Any, **knobs: Any) -> Pipe:
     """``|> s`` — stream a source from its own thread (or, with
     ``backend="process"``, from a crash-isolated child process; with
-    ``backend="remote"``, from a generator server at *remote_address*)."""
+    ``backend="remote"``, from a generator server at *remote_address*).
+    Keyword options as for :class:`~repro.coexpr.pipe.Pipe`."""
 
-    return Pipe(
-        CoExpression(_source_body, lambda: (source,), name="source"),
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
-    )
+    return Pipe(CoExpression(_source_body, lambda: (source,), name="source"), **knobs)
 
 
-def stage(
-    fn: Callable[[Any], Any],
-    upstream: Any,
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
-) -> Pipe:
+def stage(fn: Callable[[Any], Any], upstream: Any, **knobs: Any) -> Pipe:
     """``|> fn(!upstream)`` — one pipeline stage in its own thread.
+    Keyword options as for :class:`~repro.coexpr.pipe.Pipe`.
 
     Maps *fn* (generator or plain function) over the upstream's elements
     and streams the results.  ``capacity`` bounds the stage's output
@@ -134,41 +99,16 @@ def stage(
     """
 
     name = getattr(fn, "__name__", "stage")
-    piped = Pipe(
-        CoExpression(_stage_body, lambda: (upstream, fn), name=name),
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
-    )
+    piped = Pipe(CoExpression(_stage_body, lambda: (upstream, fn), name=name), **knobs)
     if hasattr(upstream, "cancel"):
         piped.upstream = upstream
     return piped
 
 
-def pipeline(
-    source: Any,
-    *stages: Callable[[Any], Any],
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
-) -> Pipe:
-    """Chain *stages* over *source*, one thread per stage.
+def pipeline(source: Any, *stages: Callable[[Any], Any], **knobs: Any) -> Pipe:
+    """Chain *stages* over *source*, one thread per stage.  Keyword
+    options as for :class:`~repro.coexpr.pipe.Pipe`, checked once and
+    given to every stage.
 
     ``pipeline(s, f, g)`` is ``|> g(! |> f(! |> s))``: consuming the
     returned pipe drives every stage concurrently.  With no stages the
@@ -196,55 +136,17 @@ def pipeline(
     every stage — one end-to-end budget for the chain, not a fresh
     clock per hop.  A remote pipeline is always exactly one pipe, so a
     list of ``(host, port)`` pairs becomes **one**
-    :class:`~repro.net.cluster.ServerPool` (normalized by :class:`Pipe`)
-    and routing memory (suspicion, failover history) is chain-wide.
+    :class:`~repro.net.cluster.ServerPool` (normalized by
+    :func:`~repro.coexpr.pipe.pipe_knobs`) and routing memory
+    (suspicion, failover history) is chain-wide.
     """
-    deadline = deadline_from(deadline)
-    if backend == "remote" and stages:
-        return Pipe(
-            _whole_chain(source, stages),
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
-        )
-    current: Pipe = source_pipe(
-        source,
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
-    )
+    knobs = pipe_knobs(**knobs)
+    chain = _whole_chain(source, stages, knobs)
+    if chain is not None:
+        return Pipe(chain, **knobs)
+    current: Pipe = source_pipe(source, **knobs)
     for fn in stages:
-        current = stage(
-            fn,
-            current,
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
-        )
+        current = stage(fn, current, **knobs)
     return current
 
 

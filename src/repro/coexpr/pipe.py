@@ -75,14 +75,69 @@ _TIERS = {
 }
 
 
-def check_heartbeat(interval: float | None, timeout: float | None) -> float:
-    """Reject a non-positive watchdog setting (None = the default);
-    returns the interval between beats, 0.1 s by default."""
-    if interval is not None and interval <= 0:
+def pipe_knobs(
+    capacity: int = 0,
+    scheduler: PipeScheduler | None = None,
+    take_timeout: float | None = None,
+    batch: int = 1,
+    max_linger: float | None = None,
+    backend: str = "thread",
+    heartbeat_interval: float | None = None,
+    heartbeat_timeout: float | None = None,
+    mp_context: Any = None,
+    remote_address: Any = None,
+    deadline: Any = None,
+) -> dict:
+    """Every :class:`Pipe` knob, checked and normalized: the one place
+    the knobs and their defaults are declared (see :meth:`Pipe.__init__`
+    for what each one does).
+
+    The composing constructors (:mod:`~repro.coexpr.patterns`,
+    :mod:`~repro.coexpr.supervision`,
+    :class:`~repro.coexpr.dataparallel.DataParallel`) call this once
+    and hand the same dict to every pipe they build.  It is idempotent —
+    the resolved heartbeat interval (0.1 s by default), a
+    :class:`~repro.coexpr.deadline.Deadline` and a
+    :class:`~repro.net.cluster.ServerPool` pass through unchanged — so
+    those pipes share one budget and one routing memory.
+    """
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    if max_linger is not None and max_linger < 0:
+        raise ValueError("max_linger must be >= 0 or None")
+    if backend != "thread" and backend not in _TIERS:
+        raise ValueError(
+            "backend must be 'thread', 'process', 'remote', or 'async'"
+        )
+    if backend == "remote" and remote_address is None:
+        raise ValueError("backend='remote' requires remote_address")
+    if remote_address is not None:
+        # One (host, port) pair stays a plain tuple; a list of them
+        # becomes a ServerPool (the cluster tier); an existing pool
+        # passes through so callers that spawn many pipes — restarts,
+        # chunk tasks — can share routing state.  Normalized whatever
+        # the backend: a DataParallel call may switch its tasks to
+        # "remote", and they must still share the one pool.
+        from ..net.cluster import normalize_remote_address
+
+        remote_address = normalize_remote_address(remote_address)
+    if heartbeat_interval is not None and heartbeat_interval <= 0:
         raise ValueError("heartbeat_interval must be > 0 or None")
-    if timeout is not None and timeout <= 0:
+    if heartbeat_timeout is not None and heartbeat_timeout <= 0:
         raise ValueError("heartbeat_timeout must be > 0 or None")
-    return interval if interval is not None else 0.1
+    return {
+        "capacity": capacity,
+        "scheduler": scheduler,
+        "take_timeout": take_timeout,
+        "batch": batch,
+        "max_linger": max_linger,
+        "backend": backend,
+        "heartbeat_interval": 0.1 if heartbeat_interval is None else heartbeat_interval,
+        "heartbeat_timeout": heartbeat_timeout,
+        "mp_context": mp_context,
+        "remote_address": remote_address,
+        "deadline": deadline_from(deadline),
+    }
 
 
 class StreamOwner:
@@ -163,6 +218,7 @@ class Pipe(StreamOwner, IconIterator):
         "remote_address",
         "deadline",
         "upstream",
+        "_knobs",
         "_scheduler",
         "_started",
         "_start_lock",
@@ -181,25 +237,15 @@ class Pipe(StreamOwner, IconIterator):
         "_producer_done",
     )
 
-    def __init__(
-        self,
-        expr: Any,
-        capacity: int = 0,
-        scheduler: PipeScheduler | None = None,
-        take_timeout: float | None = None,
-        batch: int = 1,
-        max_linger: float | None = None,
-        backend: str = "thread",
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        mp_context: Any = None,
-        remote_address: Any = None,
-        deadline: Any = None,
-    ) -> None:
+    def __init__(self, expr: Any, *args: Any, **knobs: Any) -> None:
         """Wrap *expr* (a co-expression, iterator node, generator factory,
-        or iterable) in a threaded proxy with an output channel of
-        *capacity* (0 = unbounded).  ``take_timeout`` is the default
-        deadline applied to every :meth:`take` (None = wait forever).
+        or iterable) in a threaded proxy.  The knobs — by keyword, or
+        positionally in order — and their defaults are those of
+        :func:`pipe_knobs`, which checks and normalizes them.
+
+        The output channel holds *capacity* items (0 = unbounded).
+        ``take_timeout`` is the default deadline applied to every
+        :meth:`take` (None = wait forever).
 
         ``batch`` > 1 turns on batched transport: the worker coalesces up
         to that many results and moves them through the channel as one
@@ -254,57 +300,41 @@ class Pipe(StreamOwner, IconIterator):
         :class:`~repro.errors.PipeDeadlineExceeded`, then close) instead
         of leaving it computing for a consumer that gave up.
         """
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if max_linger is not None and max_linger < 0:
-            raise ValueError("max_linger must be >= 0 or None")
-        if backend != "thread" and backend not in _TIERS:
-            raise ValueError(
-                "backend must be 'thread', 'process', 'remote', or 'async'"
-            )
-        if backend == "remote":
-            if remote_address is None:
-                raise ValueError("backend='remote' requires remote_address")
-            # One (host, port) pair stays a plain tuple; a list of them
-            # becomes a ServerPool (the cluster tier); an existing pool
-            # passes through so callers that spawn many pipes — restarts,
-            # chunk tasks — can share routing state.
-            from ..net.cluster import normalize_remote_address
-
-            remote_address = normalize_remote_address(remote_address)
-        interval = check_heartbeat(heartbeat_interval, heartbeat_timeout)
+        knobs = pipe_knobs(*args, **knobs)
         super().__init__()
         self.coexpr: CoExpression = coexpr_of(expr)
-        self.capacity = capacity
+        #: The validated knobs, whole: :meth:`refresh` rebuilds from them.
+        self._knobs = knobs
+        self.capacity = knobs["capacity"]
         #: The output blocking queue — public, as in the paper.
-        self.out = Channel(capacity)
+        self.out = Channel(self.capacity)
         #: Default per-take deadline in seconds (None = block forever).
-        self.take_timeout = take_timeout
+        self.take_timeout = knobs["take_timeout"]
         #: Producer-side coalescing factor (1 = unbatched, the paper's shape).
-        self.batch = batch
+        self.batch = knobs["batch"]
         #: Seconds a partial batch may linger before being flushed.
-        self.max_linger = max_linger
+        self.max_linger = knobs["max_linger"]
         #: Execution tier: "thread", "process", "remote" or "async" (see
         #: the class docstring).
-        self.backend = backend
+        self.backend = knobs["backend"]
         #: Seconds between liveness beats (process and remote backends).
-        self.heartbeat_interval = interval
+        self.heartbeat_interval = knobs["heartbeat_interval"]
         #: Seconds of silence before the watchdog declares the worker
         #: lost (None = 10 heartbeat intervals).
-        self.heartbeat_timeout = heartbeat_timeout
+        self.heartbeat_timeout = knobs["heartbeat_timeout"]
         #: Multiprocessing context override (None = fork where available).
-        self.mp_context = mp_context
+        self.mp_context = knobs["mp_context"]
         #: ``(host, port)`` of the generator server (remote backend) — or
         #: a :class:`~repro.net.cluster.ServerPool` over several replicas.
-        self.remote_address = remote_address
+        self.remote_address = knobs["remote_address"]
         #: End-to-end budget (shared along pipelines and across
         #: supervised restarts — a retry does not reset the clock).
-        self.deadline: Deadline | None = deadline_from(deadline)
+        self.deadline: Deadline | None = knobs["deadline"]
         #: The pipe feeding this one, when built by ``patterns.stage`` —
         #: cancellation propagates through it so a dead stage never
         #: leaves its producer blocked on a full channel.
         self.upstream: Any = None
-        self._scheduler = scheduler
+        self._scheduler = knobs["scheduler"]
         self._started = False
         self._start_lock = threading.Lock()
         self._cancelled = False
@@ -324,7 +354,9 @@ class Pipe(StreamOwner, IconIterator):
         # condition shared by the worker and the flusher thread.
         self._flusher: WorkerHandle | None = None
         self._buf_cond = (
-            threading.Condition() if (batch > 1 and max_linger is not None) else None
+            threading.Condition()
+            if (self.batch > 1 and self.max_linger is not None)
+            else None
         )
         self._buffer: List[Any] = []
         self._buf_oldest = 0.0
@@ -639,25 +671,14 @@ class Pipe(StreamOwner, IconIterator):
 
     def refresh(self) -> "Pipe":
         """``^p`` — a new pipe (of the same class) over a refreshed copy
-        of the co-expression, with the same knobs, the same shared
-        :class:`~repro.coexpr.deadline.Deadline` and the same normalized
-        ``remote_address`` (one routing memory across restarts)."""
+        of the co-expression, with the same knobs — the same shared
+        :class:`~repro.coexpr.deadline.Deadline` (a refresh is not a
+        reset) and the same normalized ``remote_address`` (one routing
+        memory across restarts) — and the same ``upstream``, so
+        cancelling the fresh pipe still cancels the producer above it."""
         fresh = Pipe.__new__(type(self))
-        Pipe.__init__(
-            fresh,
-            self.coexpr.refresh(),
-            self.capacity,
-            self._scheduler,
-            take_timeout=self.take_timeout,
-            batch=self.batch,
-            max_linger=self.max_linger,
-            backend=self.backend,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_timeout=self.heartbeat_timeout,
-            mp_context=self.mp_context,
-            remote_address=self.remote_address,
-            deadline=self.deadline,  # the same budget: a refresh is not a reset
-        )
+        Pipe.__init__(fresh, self.coexpr.refresh(), **self._knobs)
+        fresh.upstream = self.upstream
         return fresh
 
     @property

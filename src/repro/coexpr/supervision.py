@@ -65,9 +65,7 @@ from ..runtime.failure import FAIL
 from ..runtime.iterator import IconIterator
 from .coexpression import CoExpression
 from .dataparallel import apply_mapped, iter_source
-from .deadline import deadline_from
-from .pipe import Pipe
-from .scheduler import PipeScheduler
+from .pipe import Pipe, pipe_knobs
 
 _UNSET = object()
 
@@ -456,7 +454,8 @@ class SupervisedPipe(IconIterator):
     over the ``^c``-refreshed co-expression) after the policy's backoff,
     instead of the error reaching the consumer.  When the budget is
     exhausted the take raises :class:`RetryExhaustedError` chained to
-    the last producer error.
+    the last producer error.  Keyword options as for
+    :class:`~repro.coexpr.pipe.Pipe` (they configure every incarnation).
 
     Timeout expiry (:class:`PipeTimeoutError`) is *not* retried — a slow
     producer is not a crashed one; the caller decides whether to cancel.
@@ -490,21 +489,11 @@ class SupervisedPipe(IconIterator):
         *,
         max_retries: int = 3,
         backoff: BackoffPolicy | None = None,
-        capacity: int = 0,
-        scheduler: PipeScheduler | None = None,
-        take_timeout: float | None = None,
-        batch: int = 1,
-        max_linger: float | None = None,
-        backend: str = "thread",
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        mp_context: Any = None,
-        remote_address: Any = None,
-        deadline: Any = None,
         sleep: Callable[[float], None] = time.sleep,
         restart: str = "replay",
         upstream: Any = None,
         name: str | None = None,
+        **knobs: Any,
     ) -> None:
         if restart not in ("replay", "resume"):
             raise ValueError("restart must be 'replay' or 'resume'")
@@ -513,7 +502,6 @@ class SupervisedPipe(IconIterator):
         super().__init__()
         self.max_retries = max_retries
         self.backoff = backoff or BackoffPolicy()
-        self.take_timeout = take_timeout
         self.restart = restart
         #: Optional upstream pipe to cancel when supervision gives up
         #: (exhaust) or is cancelled — keeps the producer chain leak-free.
@@ -526,20 +514,8 @@ class SupervisedPipe(IconIterator):
         #: same tier — a lost child or connection respawns or redials —
         #: the same Deadline (never a fresh budget), and the same pool a
         #: list address became, so a reconnect avoids the dead replica.
-        self._pipe = Pipe(
-            expr,
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
-        )
+        self._pipe = Pipe(expr, **knobs)
+        self.take_timeout = self._pipe.take_timeout
         self.name = name or self._pipe.coexpr.name
         self._failures = 0       # producer crashes seen so far
         self._delivered = 0      # results handed to the consumer
@@ -673,22 +649,13 @@ def supervise(
     *,
     max_retries: int = 3,
     backoff: BackoffPolicy | None = None,
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
     sleep: Callable[[float], None] = time.sleep,
     restart: str = "replay",
     name: str | None = None,
+    **knobs: Any,
 ) -> SupervisedPipe:
     """``|>`` with a restart budget: wrap *expr* in a supervised pipe.
+    Keyword options as for :class:`~repro.coexpr.pipe.Pipe`.
 
     *expr* is anything :func:`~repro.coexpr.coexpr_of` accepts.  See
     :class:`SupervisedPipe` for the restart-mode semantics; the default
@@ -706,20 +673,10 @@ def supervise(
         expr,
         max_retries=max_retries,
         backoff=backoff,
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
         sleep=sleep,
         restart=restart,
         name=name,
+        **knobs,
     )
 
 
@@ -733,23 +690,14 @@ def supervised_stage(
     *,
     max_retries: int = 3,
     backoff: BackoffPolicy | None = None,
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
     sleep: Callable[[float], None] = time.sleep,
     fault_plan: FaultPlan | None = None,
     stage_key: Any = None,
     name: str | None = None,
+    **knobs: Any,
 ) -> SupervisedPipe:
-    """One pipeline stage whose crashes are retried in place.
+    """One pipeline stage whose crashes are retried in place.  Keyword
+    options as for :class:`~repro.coexpr.pipe.Pipe`.
 
     The stage body maps *fn* over a shared upstream; because channel
     items are consumed destructively, restarts use ``"resume"`` mode —
@@ -794,21 +742,11 @@ def supervised_stage(
         coexpr,
         max_retries=max_retries,
         backoff=backoff,
-        capacity=capacity,
-        scheduler=scheduler,
-        take_timeout=take_timeout,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
         sleep=sleep,
         restart="resume",
         upstream=up_pipe,
         name=stage_name,
+        **knobs,
     )
 
 
@@ -817,21 +755,13 @@ def supervised_pipeline(
     *stages: Callable[[Any], Any],
     max_retries: int = 3,
     backoff: BackoffPolicy | None = None,
-    capacity: int = 0,
-    scheduler: PipeScheduler | None = None,
-    take_timeout: float | None = None,
-    batch: int = 1,
-    max_linger: float | None = None,
-    backend: str = "thread",
-    heartbeat_interval: float | None = None,
-    heartbeat_timeout: float | None = None,
-    mp_context: Any = None,
-    remote_address: Any = None,
-    deadline: Any = None,
     sleep: Callable[[float], None] = time.sleep,
     fault_plan: FaultPlan | None = None,
+    **knobs: Any,
 ) -> Any:
     """:func:`~repro.coexpr.patterns.pipeline` with supervised stages.
+    Keyword options as for :class:`~repro.coexpr.pipe.Pipe`, checked
+    once and given to every stage (the source gets no ``take_timeout``).
 
     Each stage gets its own restart budget; stage keys for the fault
     plan are the 1-based stage indices (0 is the unsupervised source).
@@ -854,61 +784,33 @@ def supervised_pipeline(
     """
     from .patterns import _whole_chain, source_pipe
 
-    # Normalize once: the source and every stage share ONE budget — the
-    # deadline is end-to-end, not per stage.
-    deadline = deadline_from(deadline)
-    if backend == "remote" and stages:
+    # Checked once: the source and every stage share ONE budget — the
+    # deadline is end-to-end, not per stage — and one pool.
+    knobs = pipe_knobs(**knobs)
+    chain = _whole_chain(source, stages, knobs)
+    if chain is not None:
         return SupervisedPipe(
-            _whole_chain(source, stages),
+            chain,
             max_retries=max_retries,
             backoff=backoff,
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
             sleep=sleep,
             restart="replay",
+            **knobs,
         )
-    current: Any = source_pipe(
-        source,
-        capacity=capacity,
-        scheduler=scheduler,
-        batch=batch,
-        max_linger=max_linger,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        heartbeat_timeout=heartbeat_timeout,
-        mp_context=mp_context,
-        remote_address=remote_address,
-        deadline=deadline,
-    )
+    # The unsupervised source gets no take_timeout: a timeout raised
+    # inside the first stage's body would end that stage and cancel the
+    # source, while the stages' own take_timeout leaves the chain usable.
+    current: Any = source_pipe(source, **dict(knobs, take_timeout=None))
     for index, fn in enumerate(stages, start=1):
         current = supervised_stage(
             fn,
             current,
             max_retries=max_retries,
             backoff=backoff,
-            capacity=capacity,
-            scheduler=scheduler,
-            take_timeout=take_timeout,
-            batch=batch,
-            max_linger=max_linger,
-            backend=backend,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            mp_context=mp_context,
-            remote_address=remote_address,
-            deadline=deadline,
             sleep=sleep,
             fault_plan=fault_plan,
             stage_key=index,
             name=f"stage-{index}:{getattr(fn, '__name__', 'fn')}",
+            **knobs,
         )
     return current

@@ -742,10 +742,10 @@ class RemotePipe(Pipe):
     ) -> None:
         super().__init__(
             CoExpression(ServerCall(name, tuple(args)), name=name),
-            capacity,
-            scheduler,
-            take_timeout,
-            batch,
+            capacity=capacity,
+            scheduler=scheduler,
+            take_timeout=take_timeout,
+            batch=batch,
             backend="remote",
             heartbeat_interval=heartbeat_interval,
             heartbeat_timeout=heartbeat_timeout,
